@@ -399,10 +399,10 @@ struct KernelTiming {
   double active_ns;
 };
 
-/// Times the four kernel shapes of the report (dot, axpy, bilinear, row
-/// gather) at the canonical dims, once with the dispatch forced to scalar
-/// and once on the path the dispatcher actually picked. The active path is
-/// restored afterwards.
+/// Times the five kernel shapes of the report (dot, axpy, bilinear, row
+/// gather, Adam step) at the canonical dims, once with the dispatch forced
+/// to scalar and once on the path the dispatcher actually picked. The
+/// active path is restored afterwards.
 std::vector<KernelTiming> TimeKernels() {
   const la::SimdPath active = la::ActiveSimdPath();
   std::vector<KernelTiming> out;
@@ -414,6 +414,8 @@ std::vector<KernelTiming> TimeKernels() {
     la::Matrix m = la::Matrix::RandomGaussian(d, d, 1.0, rng);
     la::Matrix src = la::Matrix::RandomGaussian(kGatherRows, d, 1.0, rng);
     la::Matrix gout(kGatherRows, d);
+    la::Vector adam_m(d, 0.0);
+    la::Vector adam_v(d, 0.0);
     std::vector<size_t> perm(kGatherRows);
     for (size_t i = 0; i < kGatherRows; ++i) {
       perm[i] = rng.NextIndex(kGatherRows);
@@ -441,6 +443,14 @@ std::vector<KernelTiming> TimeKernels() {
            benchmark::DoNotOptimize(la::GatherRows(
                kGatherRows, d, 1, gout,
                [&](size_t i) { return src.RowPtr(perm[i]); }));
+         }},
+        {"adam",
+         [&] {
+           // Neither bias correction is 1.0: the variant that performs
+           // all three divisions, i.e. a block's first ~356 steps.
+           la::AdamStep({1e-9, 0.9, 0.999, 1e-8, 0.5, 0.25}, a.data(),
+                        adam_m.data(), adam_v.data(), b.data(), d);
+           benchmark::DoNotOptimize(a.data());
          }},
     };
     for (const Op& op : ops) {

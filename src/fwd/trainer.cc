@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "src/common/parallel.h"
+#include "src/common/timer.h"
 #include "src/fwd/dist_cache.h"
 #include "src/fwd/walk_distribution.h"
 #include "src/fwd/walk_sampler.h"
@@ -26,6 +27,18 @@ struct TrainMetrics {
       "stedb_train_epoch_seconds",
       "Wall time of one FoRWaRD training epoch (materialize + apply)",
       obs::Buckets::Latency());
+  /// The epoch's critical path split in two: `apply` is the time spent
+  /// applying gradients; `stall` is the rest — the first chunk's
+  /// materialization plus, per chunk, the wait for the next chunk's
+  /// materialization beyond the apply. One observation each per epoch.
+  obs::Histogram& stage_apply = reg.GetHistogram(
+      "stedb_train_stage_seconds",
+      "Critical-path split of one FoRWaRD training epoch by stage",
+      obs::Buckets::Latency(), {{"stage", "apply"}});
+  obs::Histogram& stage_stall = reg.GetHistogram(
+      "stedb_train_stage_seconds",
+      "Critical-path split of one FoRWaRD training epoch by stage",
+      obs::Buckets::Latency(), {{"stage", "stall"}});
   obs::Counter& epochs = reg.GetCounter(
       "stedb_train_epochs_total", "FoRWaRD training epochs completed");
   obs::Counter& cache_hits = reg.GetCounter(
@@ -254,25 +267,36 @@ Result<ForwardModel> ForwardTrainer::Train(db::RelationId rel,
     std::iota(order.begin(), order.end(), size_t{0});
     rng.Shuffle(order);
 
+    Timer stage_timer;
     const size_t first = std::min(kMaterializeChunk, F);
     runner.ParallelFor(first, [&](size_t ci) {
       materialize(epoch, order[ci], cur[ci]);
     });
+    double apply_s = 0.0;
+    double stall_s = stage_timer.ElapsedSeconds();
     for (size_t chunk = 0; chunk < F; chunk += kMaterializeChunk) {
       const size_t chunk_size = std::min(kMaterializeChunk, F - chunk);
       const size_t next_begin = chunk + chunk_size;
       const size_t next_size =
           next_begin < F ? std::min(kMaterializeChunk, F - next_begin) : 0;
+      double chunk_apply_s = 0.0;  // written by task 0, read after the join
+      stage_timer.Reset();
       runner.ParallelFor(1 + next_size, [&](size_t task) {
         if (task == 0) {
+          Timer apply_timer;
           apply_chunk(cur, chunk_size);
+          chunk_apply_s = apply_timer.ElapsedSeconds();
         } else {
           const size_t ci = task - 1;
           materialize(epoch, order[next_begin + ci], next[ci]);
         }
       });
+      apply_s += chunk_apply_s;
+      stall_s += stage_timer.ElapsedSeconds() - chunk_apply_s;
       std::swap(cur, next);
     }
+    Metrics().stage_apply.Observe(apply_s);
+    Metrics().stage_stall.Observe(stall_s);
     Metrics().epochs.Inc();
   }
   stats_.dist_cache = dists.GetStats();

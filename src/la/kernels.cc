@@ -14,7 +14,8 @@ namespace {
 /// Portable 4-lane policy: a plain struct of doubles with every primitive
 /// spelled as the single IEEE-754 operation the AVX2 policy performs per
 /// lane. std::fma is correctly rounded (one rounding), exactly like
-/// vfmadd231pd, so the two policies agree bit-for-bit. The 4x4
+/// vfmadd231pd, and so are division and std::sqrt (vdivpd, vsqrtpd), so
+/// the two policies agree bit-for-bit. The 4x4
 /// accumulator structure is also what lets the autovectorizer profitably
 /// vectorize this path within the baseline ISA without being *allowed* to
 /// change results (no -ffast-math anywhere in this repo).
@@ -58,6 +59,20 @@ struct ScalarPolicy {
     }
     return v;
   }
+  static Vec Div(Vec a, Vec b) {
+    Vec v;
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) {
+      v.lane[l] = a.lane[l] / b.lane[l];
+    }
+    return v;
+  }
+  static Vec Sqrt(Vec a) {
+    Vec v;
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) {
+      v.lane[l] = std::sqrt(a.lane[l]);
+    }
+    return v;
+  }
   static Vec Fma(Vec a, Vec b, Vec acc) {
     Vec v;
     for (size_t l = 0; l < internal::kLaneWidth; ++l) {
@@ -94,6 +109,10 @@ void ScalarScaleAdd(double* out, double s1, const double* a, double s2,
                     const double* b, size_t n) {
   internal::ScaleAddImpl<ScalarPolicy>(out, s1, a, s2, b, n);
 }
+void ScalarAdam(const AdamCoeffs& c, double* params, double* m, double* v,
+                const double* grad, size_t n) {
+  internal::AdamImpl<ScalarPolicy>(c, params, m, v, grad, n);
+}
 void ScalarCopyRow(double* dst, const double* src, size_t n) {
   // memcpy is the fastest portable row copy and trivially bit-exact.
   // The n == 0 guard matters: empty vectors hand out null data()
@@ -121,6 +140,7 @@ constexpr KernelOps kScalarOps = {
     &ScalarScale,
     &ScalarScaleAdd,
     &ScalarCopyRow,
+    &ScalarAdam,
     &ScalarMatVec,
     &ScalarBilinear,
 };

@@ -5,8 +5,8 @@
 //
 // Every reduction-shaped primitive in this repo (Dot, Norm2, the φᵀψφ
 // bilinear scorer, MatVec) and every element-wise update (Axpy, Scale,
-// ScaleAdd, row copies) funnels through the function table returned by
-// `Kernels()`. The table is resolved exactly once per process:
+// ScaleAdd, the Adam step, row copies) funnels through the function table
+// returned by `Kernels()`. The table is resolved exactly once per process:
 //
 //   * `STEDB_SIMD=scalar` forces the portable path;
 //   * `STEDB_SIMD=avx2` forces AVX2+FMA and aborts with an actionable
@@ -25,9 +25,11 @@
 //
 // Adding a new ISA path (e.g. AVX-512 or NEON): write a policy with the
 // primitives kernels_impl.h needs (4-lane Load/Store/partial variants,
-// Add/Sub/Mul, single-rounding Fma, the fixed ReduceTree), instantiate
-// it in its own translation unit compiled with the ISA flags for that
-// file only, surface it as another `KernelOps` table, and extend the
+// Add/Sub/Mul/Div/Sqrt, single-rounding Fma, the fixed ReduceTree),
+// instantiate it in its own translation unit compiled with the ISA flags
+// for that file only plus -ffp-contract=off (otherwise the compiler may
+// fuse a Mul feeding an Add into one rounding, which the scalar policy
+// does not do), surface it as another `KernelOps` table, and extend the
 // dispatch below. The reduction order must not change — lane width is
 // part of the contract, so wider ISAs process two 4-lane groups per
 // register-pair rather than widening the accumulator.
@@ -38,6 +40,16 @@ namespace stedb::la {
 
 /// The implementation a kernel table was built from.
 enum class SimdPath { kScalar, kAvx2 };
+
+/// Scalars of one Adam update (Kingma & Ba); see AdamStep.
+struct AdamCoeffs {
+  double lr;  ///< effective learning rate (base rate x schedule scale)
+  double beta1;
+  double beta2;
+  double eps;
+  double bc1;  ///< first-moment bias correction, 1 - beta1^t
+  double bc2;  ///< second-moment bias correction, 1 - beta2^t
+};
 
 /// Function table of the raw kernels. All pointers are non-null.
 struct KernelOps {
@@ -52,6 +64,8 @@ struct KernelOps {
   void (*scale_add)(double* out, double s1, const double* a, double s2,
                     const double* b, size_t n);
   void (*copy_row)(double* dst, const double* src, size_t n);
+  void (*adam)(const AdamCoeffs& c, double* params, double* m, double* v,
+               const double* grad, size_t n);
   void (*matvec)(const double* m, size_t rows, size_t cols, const double* x,
                  double* out);
   double (*bilinear)(const double* x, const double* m, const double* y,
@@ -96,6 +110,16 @@ inline void ScaleAdd(double* out, double s1, const double* a, double s2,
 /// dst = src (the batched row-gather primitive).
 inline void CopyRow(double* dst, const double* src, size_t n) {
   Kernels().copy_row(dst, src, n);
+}
+/// One Adam step over n elements. Per element, each operation rounding
+/// once (no fused multiply-add):
+///   m = beta1*m + (1-beta1)*g
+///   v = beta2*v + ((1-beta2)*g)*g
+///   p = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+/// A bias correction equal to 1.0 skips its division (x / 1.0 == x).
+inline void AdamStep(const AdamCoeffs& c, double* params, double* m,
+                     double* v, const double* grad, size_t n) {
+  Kernels().adam(c, params, m, v, grad, n);
 }
 /// out[r] = <row r of m, x> for a rows x cols row-major m.
 inline void MatVec(const double* m, size_t rows, size_t cols, const double* x,

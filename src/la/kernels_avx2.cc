@@ -1,8 +1,10 @@
 // AVX2+FMA instantiation of the shared kernel templates. This file — and
 // only this file — is compiled with -mavx2 -mfma (per-file options in
-// src/CMakeLists.txt; there is no global -march), so nothing here may be
-// referenced from another TU except through the Avx2Ops() table, and the
-// table is only executed after the runtime cpuid check in kernels.cc.
+// src/CMakeLists.txt; there is no global -march; -ffp-contract=off keeps
+// every Mul feeding an Add two roundings, as in the scalar policy), so
+// nothing here may be referenced from another TU except through the
+// Avx2Ops() table, and the table is only executed after the runtime
+// cpuid check in kernels.cc.
 // When the toolchain cannot target AVX2 (non-x86, or the flags are
 // unavailable), the #else branch below compiles this TU down to a
 // nullptr table and dispatch never offers the path.
@@ -42,6 +44,9 @@ struct Avx2Policy {
   static Vec Add(Vec a, Vec b) { return _mm256_add_pd(a, b); }
   static Vec Sub(Vec a, Vec b) { return _mm256_sub_pd(a, b); }
   static Vec Mul(Vec a, Vec b) { return _mm256_mul_pd(a, b); }
+  /// vdivpd and vsqrtpd round correctly per lane, like divsd and sqrtsd.
+  static Vec Div(Vec a, Vec b) { return _mm256_div_pd(a, b); }
+  static Vec Sqrt(Vec a) { return _mm256_sqrt_pd(a); }
   static Vec Fma(Vec a, Vec b, Vec acc) {
     return _mm256_fmadd_pd(a, b, acc);
   }
@@ -88,6 +93,10 @@ void Avx2ScaleAdd(double* out, double s1, const double* a, double s2,
                   const double* b, size_t n) {
   internal::ScaleAddImpl<Avx2Policy>(out, s1, a, s2, b, n);
 }
+void Avx2Adam(const AdamCoeffs& c, double* params, double* m, double* v,
+              const double* grad, size_t n) {
+  internal::AdamImpl<Avx2Policy>(c, params, m, v, grad, n);
+}
 void Avx2CopyRow(double* dst, const double* src, size_t n) {
   // glibc memcpy (ERMS / wide vector moves) beats a hand-rolled
   // load/store loop from ~1 KiB rows up, and a copy is bit-exact however
@@ -116,6 +125,7 @@ constexpr KernelOps kAvx2Ops = {
     &Avx2Scale,
     &Avx2ScaleAdd,
     &Avx2CopyRow,
+    &Avx2Adam,
     &Avx2MatVec,
     &Avx2Bilinear,
 };

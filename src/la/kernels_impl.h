@@ -8,9 +8,12 @@
 // instantiated with different 4-lane arithmetic. Bit-identity across
 // paths then reduces to the policies' primitives being bit-identical per
 // lane — which they are, because every primitive is a single IEEE-754
-// double operation (add/sub/mul) or a correctly-rounded fused
-// multiply-add (std::fma in the scalar policy, vfmadd in the AVX2 one;
-// both round exactly once by specification).
+// double operation (add/sub/mul/div/sqrt, all correctly rounded) or a
+// correctly-rounded fused multiply-add (std::fma in the scalar policy,
+// vfmadd in the AVX2 one; both round exactly once by specification).
+// A Mul feeding an Add must stay two roundings, so the kernel TUs are
+// compiled with -ffp-contract=off (src/CMakeLists.txt): GCC otherwise
+// fuses `_mm256_add_pd(_mm256_mul_pd(a, b), c)` into one vfmadd.
 //
 // Reduction contract (Dot / Norm2Sq / DistSq): element i of an n-element
 // reduction is accumulated into lane (i % 4) of accumulator ((i / 4) % 4).
@@ -24,7 +27,7 @@
 //     result = (v[0] + v[2]) + (v[1] + v[3])   (horizontal)
 // regardless of n, path, or machine.
 //
-// Element-wise kernels (Axpy / Scale / ScaleAdd / CopyRow) have no
+// Element-wise kernels (Axpy / Scale / ScaleAdd / Adam / CopyRow) have no
 // cross-element order at all; they only need each element's op sequence
 // to match, which the shared template guarantees.
 //
@@ -34,6 +37,8 @@
 // TU (or linker-chosen COMDAT) that must run on non-AVX2 hardware.
 
 #include <cstddef>
+
+#include "src/la/kernels.h"
 
 namespace stedb::la::internal {
 
@@ -159,6 +164,72 @@ void ScaleAddImpl(double* out, double s1, const double* a, double s2,
                     P::Fma(v1, P::LoadPartial(a + i, r),
                            P::Mul(v2, P::LoadPartial(b + i, r))),
                     r);
+  }
+}
+
+/// One Adam step with both bias-correction divisions fixed at compile
+/// time. Trained models' bytes depend on these operations and their order,
+/// each rounding once (tests/optimizer_test.cc and forward_train_test.cc
+/// pin them), so neither may change.
+template <typename P, bool kDivM, bool kDivV>
+void AdamLoop(const AdamCoeffs& c, double* params, double* m, double* v,
+              const double* grad, size_t n) {
+  using Vec = typename P::Vec;
+  const Vec b1 = P::Broadcast(c.beta1);
+  const Vec b2 = P::Broadcast(c.beta2);
+  const Vec one_b1 = P::Broadcast(1.0 - c.beta1);
+  const Vec one_b2 = P::Broadcast(1.0 - c.beta2);
+  const Vec lr = P::Broadcast(c.lr);
+  const Vec eps = P::Broadcast(c.eps);
+  const Vec bc1 = P::Broadcast(c.bc1);
+  const Vec bc2 = P::Broadcast(c.bc2);
+  auto update = [&](Vec& pv, Vec& mv, Vec& vv, Vec g) {
+    mv = P::Add(P::Mul(b1, mv), P::Mul(one_b1, g));
+    vv = P::Add(P::Mul(b2, vv), P::Mul(P::Mul(one_b2, g), g));
+    const Vec mhat = kDivM ? P::Div(mv, bc1) : mv;
+    const Vec vhat = kDivV ? P::Div(vv, bc2) : vv;
+    pv = P::Sub(pv, P::Div(P::Mul(lr, mhat), P::Add(P::Sqrt(vhat), eps)));
+  };
+  size_t i = 0;
+  for (; i + kLaneWidth <= n; i += kLaneWidth) {
+    Vec pv = P::Load(params + i);
+    Vec mv = P::Load(m + i);
+    Vec vv = P::Load(v + i);
+    update(pv, mv, vv, P::Load(grad + i));
+    P::Store(m + i, mv);
+    P::Store(v + i, vv);
+    P::Store(params + i, pv);
+  }
+  if (const size_t r = n - i) {
+    // Padding lanes compute on zeros (v = 0, so the denominator is eps)
+    // and are never stored.
+    Vec pv = P::LoadPartial(params + i, r);
+    Vec mv = P::LoadPartial(m + i, r);
+    Vec vv = P::LoadPartial(v + i, r);
+    update(pv, mv, vv, P::LoadPartial(grad + i, r));
+    P::StorePartial(m + i, mv, r);
+    P::StorePartial(v + i, vv, r);
+    P::StorePartial(params + i, pv, r);
+  }
+}
+
+/// The Adam kernel behind la::AdamStep. A bias correction that has
+/// reached exactly 1.0 (1 - 0.9^t does after 356 steps, 1 - 0.999^t after
+/// about 37.4k) skips its division — exact, since x / 1.0 == x for every
+/// double — and the variant is picked once per call, outside the loop.
+template <typename P>
+void AdamImpl(const AdamCoeffs& c, double* params, double* m, double* v,
+              const double* grad, size_t n) {
+  const bool div_m = c.bc1 != 1.0;
+  const bool div_v = c.bc2 != 1.0;
+  if (div_m && div_v) {
+    AdamLoop<P, true, true>(c, params, m, v, grad, n);
+  } else if (div_m) {
+    AdamLoop<P, true, false>(c, params, m, v, grad, n);
+  } else if (div_v) {
+    AdamLoop<P, false, true>(c, params, m, v, grad, n);
+  } else {
+    AdamLoop<P, false, false>(c, params, m, v, grad, n);
   }
 }
 

@@ -28,13 +28,8 @@ void AdamOptimizer::Step(size_t block, double* params, const double* grad,
   const double lr = lr_ * scale_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(st.t));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(st.t));
-  for (size_t i = 0; i < n; ++i) {
-    st.m[i] = beta1_ * st.m[i] + (1.0 - beta1_) * grad[i];
-    st.v[i] = beta2_ * st.v[i] + (1.0 - beta2_) * grad[i] * grad[i];
-    const double mhat = st.m[i] / bc1;
-    const double vhat = st.v[i] / bc2;
-    params[i] -= lr * mhat / (std::sqrt(vhat) + eps_);
-  }
+  AdamStep({lr, beta1_, beta2_, eps_, bc1, bc2}, params, st.m.data(),
+           st.v.data(), grad, n);
 }
 
 }  // namespace stedb::la

@@ -26,6 +26,7 @@
 #include "src/store/embedding_store.h"
 #include "src/store/format.h"
 #include "src/store/stored_model.h"
+#include "tests/test_util.h"
 
 namespace stedb {
 namespace {
@@ -117,21 +118,6 @@ std::string FreshDir(const std::string& name) {
 la::Vector RowVector(const std::vector<double>& data, size_t dim, size_t i) {
   return la::Vector(data.begin() + i * dim, data.begin() + (i + 1) * dim);
 }
-
-bool HasAvx2() {
-  return la::internal::Avx2Ops() != nullptr &&
-         la::internal::CpuSupportsAvx2Fma();
-}
-
-/// Restores the SIMD dispatch decision active at construction.
-class PathGuard {
- public:
-  PathGuard() : saved_(la::ActiveSimdPath()) {}
-  ~PathGuard() { la::internal::ForceSimdPathForTest(saved_); }
-
- private:
-  la::SimdPath saved_;
-};
 
 uint64_t Bits(double x) {
   uint64_t u = 0;
@@ -368,13 +354,13 @@ TEST(HnswDeterminismTest, VisitedMarksSurviveTheGenerationWrap) {
 }
 
 TEST(HnswDeterminismTest, BuildIsByteIdenticalAcrossSimdPaths) {
-  if (!HasAvx2()) GTEST_SKIP() << "no AVX2 lane on this host/build";
+  if (!testing::HasAvx2()) GTEST_SKIP() << "no AVX2 lane on this host/build";
   const size_t n = 2'000, dim = 16;
   const std::vector<double> data = ClusteredVectors(n, dim, 0x51D);
   const ann::VectorSource vectors = ann::VectorSource::Dense(data.data(), dim);
   const std::vector<db::FactId> facts = AscendingFacts(n);
 
-  PathGuard guard;
+  testing::SimdPathGuard guard;
   std::string per_path[2];
   const la::SimdPath paths[2] = {la::SimdPath::kScalar, la::SimdPath::kAvx2};
   for (int p = 0; p < 2; ++p) {

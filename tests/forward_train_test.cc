@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "src/data/registry.h"
 #include "src/fwd/forward.h"
+#include "src/obs/metrics.h"
+#include "src/store/format.h"
 #include "tests/test_util.h"
 
 namespace stedb::fwd {
@@ -164,6 +170,43 @@ TEST(ForwardTrainerTest, ExcludedAttrNeverTargeted) {
   }
 }
 
+/// The trainer's stage histograms split every epoch's critical path into
+/// the gradient apply and the stall waiting on materialization: one
+/// observation each per epoch, and together never more than the epoch.
+TEST(ForwardTrainerTest, StageHistogramsSplitEachEpoch) {
+  const obs::Registry& reg = obs::Registry::Global();
+  const obs::Histogram* apply =
+      reg.FindHistogram("stedb_train_stage_seconds", {{"stage", "apply"}});
+  const obs::Histogram* stall =
+      reg.FindHistogram("stedb_train_stage_seconds", {{"stage", "stall"}});
+  const obs::Histogram* epoch = reg.FindHistogram("stedb_train_epoch_seconds");
+  ASSERT_NE(apply, nullptr);
+  ASSERT_NE(stall, nullptr);
+  ASSERT_NE(epoch, nullptr);
+  const uint64_t apply_n0 = apply->Count();
+  const uint64_t stall_n0 = stall->Count();
+  const double apply_s0 = apply->Sum();
+  const double stall_s0 = stall->Sum();
+  const double epoch_s0 = epoch->Sum();
+
+  db::Database database = stedb::testing::MovieDatabase();
+  auto kernels = KernelRegistry::Defaults(database);
+  ForwardConfig cfg = TinyConfig();
+  cfg.threads = 2;
+  ForwardTrainer trainer(&database, &kernels, cfg);
+  ASSERT_TRUE(
+      trainer.Train(database.schema().RelationIndex("ACTORS"), {}).ok());
+
+  const uint64_t epochs = static_cast<uint64_t>(cfg.epochs);
+  EXPECT_EQ(apply->Count() - apply_n0, epochs);
+  EXPECT_EQ(stall->Count() - stall_n0, epochs);
+  const double apply_s = apply->Sum() - apply_s0;
+  const double stall_s = stall->Sum() - stall_s0;
+  EXPECT_GT(apply_s, 0.0);
+  EXPECT_GE(stall_s, 0.0);
+  EXPECT_LE(apply_s + stall_s, epoch->Sum() - epoch_s0);
+}
+
 /// The three KD estimators all train successfully end to end.
 class KdEstimatorTest : public ::testing::TestWithParam<KdEstimator> {};
 
@@ -226,6 +269,51 @@ INSTANTIATE_TEST_SUITE_P(Estimators, ThreadEquivalenceTest,
                          ::testing::Values(KdEstimator::kSingleSample,
                                            KdEstimator::kMultiSample,
                                            KdEstimator::kExactCached));
+
+/// CRC-32 of a model's parameter bytes: φ rows in ascending fact id, then
+/// every ψ in target order.
+uint32_t ParameterCrc(const ForwardModel& model) {
+  std::vector<db::FactId> ids;
+  for (const auto& [f, v] : model.all_phi()) ids.push_back(f);
+  std::sort(ids.begin(), ids.end());
+  uint32_t crc = 0;
+  for (db::FactId f : ids) {
+    const la::Vector& v = model.phi(f);
+    crc = store::Crc32(v.data(), v.size() * sizeof(double), crc);
+  }
+  for (size_t t = 0; t < model.targets().size(); ++t) {
+    const std::vector<double>& psi = model.psi(t).data();
+    crc = store::Crc32(psi.data(), psi.size() * sizeof(double), crc);
+  }
+  return crc;
+}
+
+/// The trained bytes, pinned. The CRC was recorded before the Adam update
+/// moved into the kernel table, so it holds that move (and any later
+/// change to the training arithmetic) to the old bytes. dim 7 gives φ a
+/// partial lane group and ψ (49 elements) one too; every ψ block takes
+/// more than 356 Adam steps, so its first-moment bias correction reaches
+/// exactly 1.0 and the kernel's division-skipping variant runs.
+TEST(ForwardTrainerTest, TrainedBytesMatchPinnedCrc) {
+  data::GenConfig gen;
+  gen.scale = 0.06;
+  gen.seed = 9;
+  auto ds = data::MakeGenes(gen);
+  ASSERT_TRUE(ds.ok());
+  AttrKeySet excluded;
+  excluded.insert({ds.value().pred_rel, ds.value().pred_attr});
+  auto kernels = KernelRegistry::Defaults(ds.value().database);
+  for (int threads = 1; threads <= 4; ++threads) {
+    ForwardConfig cfg = TinyConfig();
+    cfg.dim = 7;
+    cfg.threads = threads;
+    ForwardTrainer trainer(&ds.value().database, &kernels, cfg);
+    auto model = trainer.Train(ds.value().pred_rel, excluded);
+    ASSERT_TRUE(model.ok()) << model.status();
+    EXPECT_EQ(ParameterCrc(model.value()), 4008824903u)
+        << "threads=" << threads;
+  }
+}
 
 }  // namespace
 }  // namespace stedb::fwd

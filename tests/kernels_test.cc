@@ -17,21 +17,9 @@
 namespace stedb::la {
 namespace {
 
-/// True when this binary AND this machine can execute the AVX2 path.
-bool HasAvx2() {
-  return internal::Avx2Ops() != nullptr && internal::CpuSupportsAvx2Fma();
-}
-
-/// Restores the dispatch decision active at construction — the force-path
-/// tests must not leak their override into later tests of the process.
-class PathGuard {
- public:
-  PathGuard() : saved_(ActiveSimdPath()) {}
-  ~PathGuard() { internal::ForceSimdPathForTest(saved_); }
-
- private:
-  SimdPath saved_;
-};
+using stedb::testing::HasAvx2;
+using stedb::testing::ReferenceAdamStep;
+using stedb::testing::SimdPathGuard;
 
 uint64_t Bits(double x) {
   uint64_t u;
@@ -230,6 +218,138 @@ TEST(KernelsBitEqualityTest, KahanStressSumsStayIdentical) {
   }
 }
 
+/// ReferenceAdamStep with both moment updates contracted into fused
+/// multiply-adds — what the AVX2 TU computes if it is compiled without
+/// -ffp-contract=off. Used to prove the fuzz inputs can tell the two apart.
+void ContractedAdam(const AdamCoeffs& c, double* p, double* m, double* v,
+                    const double* g, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    m[i] = std::fma(c.beta1, m[i], (1.0 - c.beta1) * g[i]);
+    v[i] = std::fma(c.beta2, v[i], ((1.0 - c.beta2) * g[i]) * g[i]);
+    const double mhat = m[i] / c.bc1;
+    const double vhat = v[i] / c.bc2;
+    p[i] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+  }
+}
+
+/// Adam state buffers of one fuzz case, each with its own misalignment.
+struct AdamBufs {
+  std::vector<double> p, m, v, g;
+  size_t off[4] = {};
+  double* P() { return p.data() + off[0]; }
+  double* M() { return m.data() + off[1]; }
+  double* V() { return v.data() + off[2]; }
+  const double* G() const { return g.data() + off[3]; }
+};
+
+/// Gaussian values spread over 10^-8..10^8 (v kept non-negative, as
+/// Adam's second moment always is): products and quotients round
+/// differently across the whole range, so a fused multiply-add shows.
+AdamBufs RandomAdamBufs(Rng& rng, size_t n, size_t off) {
+  auto mixed = [&rng] {
+    const int exp10 = static_cast<int>(rng.NextUint(17)) - 8;
+    return rng.NextGaussian(0.0, 1.0) * std::pow(10.0, exp10);
+  };
+  AdamBufs b;
+  for (size_t k = 0; k < 4; ++k) b.off[k] = (off + k) % 4;
+  b.p.resize(n + b.off[0]);
+  b.m.resize(n + b.off[1]);
+  b.v.resize(n + b.off[2]);
+  b.g.resize(n + b.off[3]);
+  for (double& x : b.p) x = mixed();
+  for (double& x : b.m) x = mixed();
+  for (double& x : b.v) x = std::fabs(mixed());
+  for (double& x : b.g) x = mixed();
+  return b;
+}
+
+/// Every kernel table this machine can run: scalar, plus AVX2 if present.
+std::vector<const KernelOps*> RunnableTables() {
+  std::vector<const KernelOps*> tables = {&internal::ScalarOps()};
+  if (HasAvx2()) tables.push_back(&internal::OpsFor(SimdPath::kAvx2));
+  return tables;
+}
+
+/// Lengths 0-33 (every tail shape around the 4-lane groups) and 1024;
+/// every start misalignment; bc1/bc2 each exactly 1.0 or not, so all four
+/// kernel variants run; three consecutive steps per case so the moments
+/// evolve. Scalar and AVX2 must agree with each other and with the
+/// reference loop bit for bit.
+TEST(KernelsBitEqualityTest, AdamMatchesReferenceOnBothPaths) {
+  std::vector<size_t> lens;
+  for (size_t n = 0; n <= 33; ++n) lens.push_back(n);
+  lens.push_back(1024);
+  const std::vector<const KernelOps*> tables = RunnableTables();
+  const double bc1s[] = {1.0 - std::pow(0.9, 7.0), 1.0};
+  const double bc2s[] = {1.0 - std::pow(0.999, 7.0), 1.0};
+  Rng rng(2024);
+  size_t contracted_diffs = 0;
+  for (size_t n : lens) {
+    for (size_t off = 0; off < 4; ++off) {
+      for (double bc1 : bc1s) {
+        for (double bc2 : bc2s) {
+          const AdamCoeffs c = {rng.NextDouble(1e-4, 0.1), 0.9, 0.999, 1e-8,
+                                bc1, bc2};
+          const AdamBufs init = RandomAdamBufs(rng, n, off);
+          AdamBufs ref = init;
+          AdamBufs fused = init;
+          std::vector<AdamBufs> got(tables.size(), init);
+          for (int step = 0; step < 3; ++step) {
+            ReferenceAdamStep(c, ref.P(), ref.M(), ref.V(), ref.G(), n);
+            ContractedAdam(c, fused.P(), fused.M(), fused.V(), fused.G(), n);
+            for (size_t k = 0; k < tables.size(); ++k) {
+              tables[k]->adam(c, got[k].P(), got[k].M(), got[k].V(),
+                              got[k].G(), n);
+            }
+          }
+          for (size_t k = 0; k < tables.size(); ++k) {
+            const char* name = tables[k]->name;
+            EXPECT_TRUE(BitEq(got[k].p, ref.p))
+                << name << " params n=" << n << " off=" << off
+                << " bc1=" << bc1 << " bc2=" << bc2;
+            EXPECT_TRUE(BitEq(got[k].m, ref.m))
+                << name << " m n=" << n << " off=" << off;
+            EXPECT_TRUE(BitEq(got[k].v, ref.v))
+                << name << " v n=" << n << " off=" << off;
+          }
+          for (size_t i = 0; i < ref.p.size(); ++i) {
+            contracted_diffs += Bits(ref.p[i]) != Bits(fused.p[i]);
+          }
+        }
+      }
+    }
+  }
+  // The inputs are sharp enough that contraction would have been caught.
+  EXPECT_GT(contracted_diffs, 100u);
+}
+
+TEST(KernelsBitEqualityTest, AdamDividesByCorrectionsBelowOne) {
+  // Only a correction of exactly 1.0 may skip its division: one ulp below
+  // 1.0 changes these inputs' result, and both paths must still divide.
+  const double below_one = std::nextafter(1.0, 0.0);
+  const double g = 0.5;
+  auto step = [&](const KernelOps* ops, double bc1, double bc2) {
+    const AdamCoeffs c = {0.1, 0.9, 0.999, 1e-8, bc1, bc2};
+    double p = 0.0, m = 3.0, v = 2.0;
+    if (ops == nullptr) {
+      ReferenceAdamStep(c, &p, &m, &v, &g, 1);
+    } else {
+      ops->adam(c, &p, &m, &v, &g, 1);
+    }
+    return p;
+  };
+  const double unit = step(nullptr, 1.0, 1.0);
+  const double corrections[][2] = {{below_one, 1.0}, {1.0, below_one}};
+  for (const auto& bc : corrections) {
+    const double want = step(nullptr, bc[0], bc[1]);
+    ASSERT_FALSE(BitEq(want, unit)) << "inputs too blunt for bc1=" << bc[0];
+    for (const KernelOps* ops : RunnableTables()) {
+      EXPECT_TRUE(BitEq(step(ops, bc[0], bc[1]), want))
+          << ops->name << " bc1=" << bc[0] << " bc2=" << bc[1];
+    }
+  }
+}
+
 // ---- End-to-end training bit-equality ---------------------------------
 // Train entire models with the dispatch forced to each path and require
 // byte-identical parameters: the property that keeps persisted models,
@@ -248,7 +368,7 @@ fwd::ForwardConfig TinyForwardConfig() {
 
 TEST(KernelsEndToEndTest, ForwardTrainingBitIdenticalAcrossPaths) {
   if (!HasAvx2()) GTEST_SKIP() << "AVX2 path not available on this machine";
-  PathGuard guard;
+  SimdPathGuard guard;
   db::Database database = stedb::testing::MovieDatabase();
   auto kernels = fwd::KernelRegistry::Defaults(database);
 
@@ -273,7 +393,7 @@ TEST(KernelsEndToEndTest, ForwardTrainingBitIdenticalAcrossPaths) {
 
 TEST(KernelsEndToEndTest, SkipGramTrainingBitIdenticalAcrossPaths) {
   if (!HasAvx2()) GTEST_SKIP() << "AVX2 path not available on this machine";
-  PathGuard guard;
+  SimdPathGuard guard;
 
   auto train = [&](SimdPath path) {
     internal::ForceSimdPathForTest(path);

@@ -1,6 +1,7 @@
 #include "tests/test_util.h"
 
 #include <cassert>
+#include <cmath>
 
 namespace stedb::testing {
 
@@ -106,6 +107,22 @@ db::FactId FindFact(const db::Database& database, const std::string& rel,
   db::ValueTuple tuple;
   for (const std::string& k : key) tuple.push_back(Value::Text(k));
   return database.FindByKey(r, tuple);
+}
+
+void ReferenceAdamStep(const la::AdamCoeffs& c, double* p, double* m,
+                       double* v, const double* g, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g[i];
+    v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g[i] * g[i];
+    const double mhat = m[i] / c.bc1;
+    const double vhat = v[i] / c.bc2;
+    p[i] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+  }
+}
+
+bool HasAvx2() {
+  return la::internal::Avx2Ops() != nullptr &&
+         la::internal::CpuSupportsAvx2Fma();
 }
 
 }  // namespace stedb::testing

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "src/db/database.h"
+#include "src/la/kernels.h"
 
 namespace stedb::testing {
 
@@ -20,6 +21,30 @@ db::FactId InsertC4(db::Database& database);
 /// Looks up a fact by relation name and key values rendered as text.
 db::FactId FindFact(const db::Database& database, const std::string& rel,
                     const std::vector<std::string>& key);
+
+/// The Adam update exactly as AdamOptimizer::Step's loop wrote it before
+/// it became la::AdamStep: both bias-correction divisions always
+/// performed. The byte-level reference the kernel must reproduce on every
+/// path, including the variants that skip a division by 1.0.
+void ReferenceAdamStep(const la::AdamCoeffs& c, double* p, double* m,
+                       double* v, const double* g, size_t n);
+
+/// True when this binary AND this machine can execute the AVX2 kernel path.
+bool HasAvx2();
+
+/// Restores the SIMD dispatch decision active at construction, so a test
+/// that forces a path does not leak the override into later tests of the
+/// process.
+class SimdPathGuard {
+ public:
+  SimdPathGuard() : saved_(la::ActiveSimdPath()) {}
+  ~SimdPathGuard() { la::internal::ForceSimdPathForTest(saved_); }
+  SimdPathGuard(const SimdPathGuard&) = delete;
+  SimdPathGuard& operator=(const SimdPathGuard&) = delete;
+
+ private:
+  la::SimdPath saved_;
+};
 
 }  // namespace stedb::testing
 
