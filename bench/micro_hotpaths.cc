@@ -5,12 +5,13 @@
 //
 // On startup (before the registered benchmarks run) the binary also emits
 // BENCH_parallel.json — serial vs. threaded wall-time for the three
-// parallelized hot paths, plus scalar-vs-active timings of the dispatched
+// parallelized hot paths and for a raw std::thread probe of the machine's
+// parallel capacity, plus scalar-vs-active timings of the dispatched
 // SIMD kernels (la/kernels.h) — so the perf trajectory of the parallel
-// runtime and the kernel layer is machine-readable from every CI run. Set STEDB_BENCH_JSON to choose
-// the output path, or STEDB_BENCH_JSON=off to skip the emission. Use
-// --benchmark_filter=NoSuchBenchmark to emit the report without running
-// the micro-benchmarks.
+// runtime and the kernel layer is machine-readable from every CI run. Set
+// STEDB_BENCH_JSON to choose the output path, or STEDB_BENCH_JSON=off to
+// skip the emission. Use --benchmark_filter=NoSuchBenchmark to emit the
+// report without running the micro-benchmarks.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -346,6 +347,33 @@ double TimeSgnsEpochs(int threads) {
   return t.ElapsedSeconds();
 }
 
+/// One fixed unit of serial arithmetic (a dependent multiply-add chain,
+/// about 10 ms on a 3 GHz core); it touches no shared memory.
+void FixedWorkUnit() {
+  double x = 1.0;
+  // An opaque start: from a known one the compiler folds the whole chain.
+  benchmark::DoNotOptimize(x);
+  for (int i = 0; i < (1 << 22); ++i) x = x * 0.999999 + 1e-6;
+  benchmark::DoNotOptimize(x);
+}
+
+/// The machine's raw parallel capacity, with none of the runtime: four
+/// fixed work units split over `threads` plain std::threads (one thread
+/// runs them back to back). Its speedup bounds what any hot path above
+/// can show on this machine at this moment.
+double TimeRawThreads(int threads) {
+  constexpr int kUnits = 4;
+  Timer t;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < threads; ++w) {
+    workers.emplace_back([w, threads] {
+      for (int u = w; u < kUnits; u += threads) FixedWorkUnit();
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  return t.ElapsedSeconds();
+}
+
 void BM_ForwardTrainStatic(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -399,10 +427,10 @@ struct KernelTiming {
   double active_ns;
 };
 
-/// Times the five kernel shapes of the report (dot, axpy, bilinear, row
-/// gather, Adam step) at the canonical dims, once with the dispatch forced
-/// to scalar and once on the path the dispatcher actually picked. The
-/// active path is restored afterwards.
+/// Times the kernel shapes of the report (dot, axpy, matvec, bilinear,
+/// rank-1 add_outer, row gather, Adam step) at the canonical dims, once
+/// with the dispatch forced to scalar and once on the path the dispatcher
+/// actually picked. The active path is restored afterwards.
 std::vector<KernelTiming> TimeKernels() {
   const la::SimdPath active = la::ActiveSimdPath();
   std::vector<KernelTiming> out;
@@ -412,6 +440,9 @@ std::vector<KernelTiming> TimeKernels() {
     la::Vector a = la::RandomVector(d, 1.0, rng);
     la::Vector b = la::RandomVector(d, 1.0, rng);
     la::Matrix m = la::Matrix::RandomGaussian(d, d, 1.0, rng);
+    la::Vector mv_out(d);
+    la::Vector tiny(d);
+    la::Scale(tiny.data(), 1e-9, b.data(), d);
     la::Matrix src = la::Matrix::RandomGaussian(kGatherRows, d, 1.0, rng);
     la::Matrix gout(kGatherRows, d);
     la::Vector adam_m(d, 0.0);
@@ -433,10 +464,21 @@ std::vector<KernelTiming> TimeKernels() {
            la::Axpy(1e-9, b.data(), a.data(), d);
            benchmark::DoNotOptimize(a.data());
          }},
+        {"matvec",
+         [&] {
+           la::MatVec(m.data().data(), d, d, b.data(), mv_out.data());
+           benchmark::DoNotOptimize(mv_out.data());
+         }},
         {"bilinear",
          [&] {
            benchmark::DoNotOptimize(
                la::BilinearForm(a.data(), m.data().data(), b.data(), d, d));
+         }},
+        {"add_outer",
+         [&] {
+           // m grows by 1e-18 b b^T per call: finite for any repeat count.
+           la::AddOuter(m.data().data(), d, d, tiny.data(), tiny.data());
+           benchmark::DoNotOptimize(m.data().data());
          }},
         {"gather",
          [&] {
@@ -491,6 +533,7 @@ void EmitParallelJson() {
       {"forward_train_static", &TimeForwardTrain},
       {"n2v_walk_corpus", &TimeWalkCorpus},
       {"sgns_epochs", &TimeSgnsEpochs},
+      {"raw_threads", &TimeRawThreads},
   };
   for (HotPath& hp : paths) {
     hp.serial = hp.run(1);

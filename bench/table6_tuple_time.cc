@@ -34,9 +34,11 @@ int main(int argc, char** argv) {
       for (const char* kind :
            {"node2vec", "forward"}) {
         auto res = exp::RunDynamicExperiment(ds, kind, mcfg, dcfg);
+        // µs resolution: one-by-one FoRWaRD takes about a millisecond per
+        // tuple, below what 3 decimals of a second can tell apart.
         row.push_back(res.ok()
                           ? exp::SecondsCell(
-                                res.value().seconds_per_new_tuple)
+                                res.value().seconds_per_new_tuple, 6)
                           : "-");
       }
     }

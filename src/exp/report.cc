@@ -48,8 +48,8 @@ std::string AccuracyCell(double mean, double stddev) {
          FormatDouble(stddev * 100.0, 2);
 }
 
-std::string SecondsCell(double seconds) {
-  return FormatDouble(seconds, 3) + "s";
+std::string SecondsCell(double seconds, int decimals) {
+  return FormatDouble(seconds, decimals) + "s";
 }
 
 std::string AsciiChart(

@@ -26,8 +26,9 @@ class TableWriter {
 /// "84.20% ±4.94" formatting used throughout the paper's tables.
 std::string AccuracyCell(double mean, double stddev);
 
-/// Seconds with 3 decimals.
-std::string SecondsCell(double seconds);
+/// Seconds with `decimals` decimals: 3 (ms resolution) unless a table
+/// needs finer.
+std::string SecondsCell(double seconds, int decimals = 3);
 
 /// Renders an ASCII line chart of one or more series over shared x values
 /// (used to "plot" Figure 5 in terminal output). Values are percentages in

@@ -8,9 +8,8 @@ namespace {
 constexpr size_t kInitialCapacity = 32;  // per shard; power of two
 }  // namespace
 
-DistCache::DistCache(const db::Database* database, const ForwardModel* model,
-                     Rng root)
-    : dist_(database), model_(model), root_(root) {
+DistCache::DistCache(const db::Database* database, Rng root)
+    : dist_(database), root_(root) {
   for (Shard& shard : shards_) {
     auto t = std::make_unique<Table>(kInitialCapacity);
     shard.table.store(t.get(), std::memory_order_relaxed);
@@ -90,9 +89,10 @@ const ValueDistribution& DistCache::InsertLocked(Shard& shard, uint64_t key,
   return *v;
 }
 
-const ValueDistribution& DistCache::Get(db::FactId f, size_t target) {
+const ValueDistribution& DistCache::Get(const ForwardModel& model,
+                                        db::FactId f, size_t target) {
   const uint64_t key =
-      static_cast<uint64_t>(f) * model_->targets().size() + target;
+      static_cast<uint64_t>(f) * model.targets().size() + target;
   Shard& shard = shards_[Mix(key) >> 58];  // top 6 bits
 
   // Wait-free fast path: one acquire load of the table pointer, one probe.
@@ -110,7 +110,7 @@ const ValueDistribution& DistCache::Get(db::FactId f, size_t target) {
   shard.misses.fetch_add(1, std::memory_order_relaxed);
   Rng rng = root_.Fork(key);
   ValueDistribution d = dist_.Compute(
-      model_->scheme_of(target), model_->targets()[target].attr, f, rng);
+      model.scheme_of(target), model.targets()[target].attr, f, rng);
 
   shard.locked_lookups.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(shard.mu);

@@ -25,9 +25,10 @@ struct DistCacheStats {
   uint64_t locked_lookups = 0;      ///< lookups that took a shard lock
 };
 
-/// Lazily computed per-(fact, target) destination value distributions for
-/// the kExactCached estimator — the hottest shared structure of the
-/// FoRWaRD materialization phase, redesigned for contention-free reads.
+/// Lazily computed per-(fact, target) destination value distributions:
+/// the kExactCached estimator's, the hottest shared structure of the
+/// FoRWaRD materialization phase, and the dynamic extender's old-fact
+/// distributions. Redesigned for contention-free reads.
 ///
 /// Layout: 64 shards selected by a splitmix64 mix of the key. Each shard
 /// owns an open-addressing table (linear probing, grown at 7/8 load)
@@ -41,8 +42,8 @@ struct DistCacheStats {
 ///  * Writers (cache misses) compute the distribution OUTSIDE any lock,
 ///    then insert under the shard mutex; a racing duplicate computation
 ///    produces bit-identical bytes (the stream is derived from the key,
-///    `root.Fork(key)`) and the first insert wins, so the cache stays
-///    deterministic under any schedule.
+///    `root.Fork(key)` with key = fact · #targets + target) and the first
+///    insert wins, so the cache stays deterministic under any schedule.
 ///  * Inserts publish value-then-key with release stores, so a reader
 ///    that observes a key (acquire) always observes its value.
 ///  * Grown-out tables are retired, not freed, until the cache is
@@ -54,20 +55,33 @@ struct DistCacheStats {
 /// d_{s,f}[A] is detected once. Returned references stay valid for the
 /// cache's lifetime (values are individually heap-allocated, never moved,
 /// never erased).
+///
+/// The cache holds no model: each Get names the model whose walk schemes
+/// and targets the key refers to, so an owner may move its model freely.
+/// Every Get on one cache must pass models with the same targets.
 class DistCache {
  public:
-  DistCache(const db::Database* database, const ForwardModel* model, Rng root);
+  DistCache(const db::Database* database, Rng root);
   ~DistCache();
 
   DistCache(const DistCache&) = delete;
   DistCache& operator=(const DistCache&) = delete;
 
-  /// The value distribution d_{s,f}[A] for target index `target`, computing
-  /// and caching it on first request. Thread-safe; deterministic.
-  const ValueDistribution& Get(db::FactId f, size_t target);
+  /// The value distribution d_{s,f}[A] for `model`'s target index
+  /// `target`, computing and caching it on first request. Thread-safe;
+  /// deterministic.
+  const ValueDistribution& Get(const ForwardModel& model, db::FactId f,
+                               size_t target);
 
   /// Relaxed-load snapshot of the per-shard counters, summed.
   DistCacheStats GetStats() const;
+
+  /// Distributions cached so far: every miss inserted one unless it lost
+  /// the insert race. Exact while no Get is in flight.
+  size_t size() const {
+    const DistCacheStats s = GetStats();
+    return s.misses - s.duplicate_computes;
+  }
 
  private:
   static constexpr size_t kShards = 64;
@@ -117,7 +131,6 @@ class DistCache {
       STEDB_REQUIRES(shard.mu);
 
   WalkDistribution dist_;
-  const ForwardModel* model_;
   Rng root_;
   std::array<Shard, kShards> shards_;
 };

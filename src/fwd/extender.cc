@@ -4,31 +4,11 @@
 #include <optional>
 
 #include "src/common/parallel.h"
+#include "src/la/kernels.h"
 #include "src/la/solve.h"
 #include "src/la/svd.h"
 
 namespace stedb::fwd {
-
-const ValueDistribution& ForwardExtender::OldDistribution(
-    const ForwardModel& model, size_t target, db::FactId f) {
-  const uint64_t key =
-      static_cast<uint64_t>(f) * model.targets().size() + target;
-  {
-    MutexLock lock(*cache_mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-  }
-  // Compute outside the lock on the key's own stream: two threads racing
-  // on the same key produce identical bytes, and emplace keeps whichever
-  // landed first — the cache is a pure function of its key either way.
-  const WalkScheme& s = model.scheme_of(target);
-  const db::AttrId attr = model.targets()[target].attr;
-  Rng key_rng(Rng::MixSeed(cache_seed_, key));
-  ValueDistribution d = dist_.Compute(s, attr, f, key_rng);
-  MutexLock lock(*cache_mu_);
-  // References into the node-based map stay valid across later inserts.
-  return cache_.emplace(key, std::move(d)).first->second;
-}
 
 Result<la::Vector> ForwardExtender::SolveOne(
     const ForwardModel& model, const std::vector<db::FactId>& old_facts,
@@ -41,6 +21,7 @@ Result<la::Vector> ForwardExtender::SolveOne(
   // counts) is never materialized.
   la::Matrix normal(d, d, 0.0);
   la::Vector rhs(d, 0.0);
+  la::Vector c(d);
   size_t rows = 0;
 
   for (size_t t = 0; t < model.targets().size(); ++t) {
@@ -63,19 +44,16 @@ Result<la::Vector> ForwardExtender::SolveOne(
     }
     for (size_t i = 0; i < want; ++i) {
       const db::FactId f_old = old_facts[idx[i]];
-      const ValueDistribution& old_dist = OldDistribution(model, t, f_old);
+      const ValueDistribution& old_dist = cache_->Get(model, f_old, t);
       if (!old_dist.exists()) continue;
       const double b = WalkDistribution::ExpectedKernel(old_dist, new_dist,
                                                         kernel);
       // Row c = psi * phi(f_old)   (Eq. 7).
-      la::Vector c = psi.MultiplyVec(model.phi(f_old));
-      // N += c c^T ; rhs += b * c.
+      la::MatVec(psi.data().data(), d, d, model.phi(f_old).data(), c.data());
+      // N += c c^T ; rhs += b * c. Both skip the rows where c_r == 0.
+      la::AddOuter(normal.data().data(), d, d, c.data(), c.data());
       for (size_t r = 0; r < d; ++r) {
-        const double cr = c[r];
-        if (cr == 0.0) continue;
-        double* nrow = normal.RowPtr(r);
-        for (size_t k = 0; k < d; ++k) nrow[k] += cr * c[k];
-        rhs[r] += b * cr;
+        if (c[r] != 0.0) rhs[r] += b * c[r];
       }
       ++rows;
     }

@@ -2,13 +2,12 @@
 #define STEDB_FWD_EXTENDER_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
-#include "src/common/thread_annotations.h"
 #include "src/db/database.h"
+#include "src/fwd/dist_cache.h"
 #include "src/fwd/kernel.h"
 #include "src/fwd/model.h"
 #include "src/fwd/walk_distribution.h"
@@ -40,10 +39,11 @@ namespace stedb::fwd {
 ///    function of its key, and the solves of one batch run against the
 ///    model as of batch entry.
 ///
-/// Old facts' destination distributions are cached across calls; this is
-/// the paper's one-by-one mode, which does not recompute paths starting at
-/// old tuples. Call InvalidateCache() before an all-at-once batch to
-/// recompute them against the grown database.
+/// Old facts' destination distributions are cached across calls in a
+/// fwd::DistCache (the trainer's wait-free cache, rooted at its own seed);
+/// this is the paper's one-by-one mode, which does not recompute paths
+/// starting at old tuples. Call InvalidateCache() before an all-at-once
+/// batch to recompute them against the grown database.
 class ForwardExtender {
  public:
   ForwardExtender(const db::Database* database, const KernelRegistry* kernels,
@@ -53,7 +53,7 @@ class ForwardExtender {
         config_(config),
         dist_(database),
         cache_seed_(Rng::MixSeed(config.seed, 0x0DD1D157ull)),
-        cache_mu_(std::make_unique<Mutex>()) {}
+        cache_(std::make_unique<DistCache>(database, Rng(cache_seed_))) {}
 
   /// Computes φ(f_new) and stores it into `model`. `f_new` must be a live
   /// fact of the model's relation without an embedding yet.
@@ -72,43 +72,33 @@ class ForwardExtender {
                      int threads, Rng& rng,
                      std::vector<db::FactId>* extended);
 
-  /// Drops cached old-fact walk distributions (all-at-once mode).
+  /// Drops cached old-fact walk distributions (all-at-once mode). Not
+  /// safe while an Extend or ExtendBatch runs.
   void InvalidateCache() {
-    MutexLock lock(*cache_mu_);
-    cache_.clear();
+    cache_ = std::make_unique<DistCache>(db_, Rng(cache_seed_));
   }
 
-  size_t cache_size() const {
-    MutexLock lock(*cache_mu_);
-    return cache_.size();
-  }
+  /// Old-fact distributions cached so far.
+  size_t cache_size() const { return cache_->size(); }
 
  private:
   /// The least-squares solve for one new fact against `model`'s current
   /// embeddings (`old_facts`, ascending). Does not write the model; safe
-  /// to call concurrently (the distribution cache is internally locked).
+  /// to call concurrently (the distribution cache is wait-free for reads
+  /// and deterministic per key).
   Result<la::Vector> SolveOne(const ForwardModel& model,
                               const std::vector<db::FactId>& old_facts,
                               db::FactId f_new, Rng& rng);
-
-  /// Cached-or-computed distribution of d_{s_t, f}[A_t] for an old fact.
-  /// Deterministic per (fact, target): a cache miss computes on an RNG
-  /// stream derived from the key, never from the calling solve's stream.
-  const ValueDistribution& OldDistribution(const ForwardModel& model,
-                                           size_t target, db::FactId f);
 
   const db::Database* db_;
   const KernelRegistry* kernels_;
   ForwardConfig config_;
   WalkDistribution dist_;
-  /// Root of the per-key cache streams (fixed at construction).
+  /// Root of the per-key cache streams (fixed at construction): a miss on
+  /// (fact f, target t) computes on Rng(cache_seed_).Fork(f * #targets + t).
   uint64_t cache_seed_;
-  /// Guards cache_ during parallel solves (unique_ptr keeps the extender
-  /// movable).
-  std::unique_ptr<Mutex> cache_mu_;
-  /// (fact, target) -> distribution; key = fact * #targets + target.
-  std::unordered_map<uint64_t, ValueDistribution> cache_
-      STEDB_GUARDED_BY(*cache_mu_);
+  /// Old facts' distributions (unique_ptr keeps the extender movable).
+  std::unique_ptr<DistCache> cache_;
 };
 
 }  // namespace stedb::fwd

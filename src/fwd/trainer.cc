@@ -130,7 +130,7 @@ Result<ForwardModel> ForwardTrainer::Train(db::RelationId rel,
   Rng dist_root = rng.Fork();
 
   WalkSampler sampler(db_);
-  DistCache dists(db_, &model, dist_root);
+  DistCache dists(db_, dist_root);
   // PooledRunner: the default thread count reuses the per-process shared
   // pool, so back-to-back Train calls stop paying a pool spin-up each.
   PooledRunner runner(config_.threads);
@@ -151,9 +151,9 @@ Result<ForwardModel> ForwardTrainer::Train(db::RelationId rel,
                            const Kernel& kernel, Rng& task_rng) -> double {
     switch (config_.kd_estimator) {
       case KdEstimator::kExactCached: {
-        const ValueDistribution& da = dists.Get(f, t);
+        const ValueDistribution& da = dists.Get(model, f, t);
         if (!da.exists()) return -1.0;
-        const ValueDistribution& dben = dists.Get(f2, t);
+        const ValueDistribution& dben = dists.Get(model, f2, t);
         if (!dben.exists()) return -1.0;
         return WalkDistribution::ExpectedKernel(da, dben, kernel);
       }
@@ -199,7 +199,7 @@ Result<ForwardModel> ForwardTrainer::Train(db::RelationId rel,
       // In exact mode, skip the whole (f, t) block when d_{s,f}[A] does
       // not exist (checked once, cached).
       if (config_.kd_estimator == KdEstimator::kExactCached &&
-          !dists.Get(f, t).exists()) {
+          !dists.Get(model, f, t).exists()) {
         continue;
       }
       for (int k = 0; k < config_.nsamples; ++k) {

@@ -44,7 +44,8 @@ class WalkDistribution {
         fallback_samples_(fallback_samples) {}
 
   /// Exact distribution of d_{s,f}[A]; empty when it does not exist or the
-  /// support bound was exceeded (check via `exists()` + ExceededBound()).
+  /// support bound was exceeded. The result cannot tell the two apart:
+  /// Compute therefore samples whenever Exact comes back empty.
   ValueDistribution Exact(const WalkScheme& s, db::AttrId attr,
                           db::FactId start) const;
 

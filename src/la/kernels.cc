@@ -129,6 +129,10 @@ double ScalarBilinear(const double* x, const double* m, const double* y,
                       size_t rows, size_t cols) {
   return internal::BilinearImpl<ScalarPolicy>(x, m, y, rows, cols);
 }
+void ScalarAddOuter(double* m, size_t rows, size_t cols, const double* x,
+                    const double* y) {
+  internal::AddOuterImpl<ScalarPolicy>(m, rows, cols, x, y);
+}
 
 constexpr KernelOps kScalarOps = {
     SimdPath::kScalar,
@@ -143,6 +147,7 @@ constexpr KernelOps kScalarOps = {
     &ScalarAdam,
     &ScalarMatVec,
     &ScalarBilinear,
+    &ScalarAddOuter,
 };
 
 /// The resolved active table. Published once by ResolveActive(); tests

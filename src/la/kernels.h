@@ -5,8 +5,9 @@
 //
 // Every reduction-shaped primitive in this repo (Dot, Norm2, the φᵀψφ
 // bilinear scorer, MatVec) and every element-wise update (Axpy, Scale,
-// ScaleAdd, the Adam step, row copies) funnels through the function table
-// returned by `Kernels()`. The table is resolved exactly once per process:
+// ScaleAdd, the Adam step, row copies, rank-1 AddOuter) funnels through
+// the function table returned by `Kernels()`. The table is resolved
+// exactly once per process:
 //
 //   * `STEDB_SIMD=scalar` forces the portable path;
 //   * `STEDB_SIMD=avx2` forces AVX2+FMA and aborts with an actionable
@@ -70,6 +71,8 @@ struct KernelOps {
                  double* out);
   double (*bilinear)(const double* x, const double* m, const double* y,
                      size_t rows, size_t cols);
+  void (*add_outer)(double* m, size_t rows, size_t cols, const double* x,
+                    const double* y);
 };
 
 /// The active table, resolved once at first use (thread-safe).
@@ -130,6 +133,13 @@ inline void MatVec(const double* m, size_t rows, size_t cols, const double* x,
 inline double BilinearForm(const double* x, const double* m, const double* y,
                            size_t rows, size_t cols) {
   return Kernels().bilinear(x, m, y, rows, cols);
+}
+/// m += x y^T for a rows x cols row-major m, i.e. m[r][k] += x[r] * y[k]
+/// with the product and the sum rounded separately (not fused). Rows with
+/// x[r] == 0 are left untouched.
+inline void AddOuter(double* m, size_t rows, size_t cols, const double* x,
+                     const double* y) {
+  Kernels().add_outer(m, rows, cols, x, y);
 }
 
 namespace internal {

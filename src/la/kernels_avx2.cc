@@ -114,6 +114,10 @@ double Avx2Bilinear(const double* x, const double* m, const double* y,
                     size_t rows, size_t cols) {
   return internal::BilinearImpl<Avx2Policy>(x, m, y, rows, cols);
 }
+void Avx2AddOuter(double* m, size_t rows, size_t cols, const double* x,
+                  const double* y) {
+  internal::AddOuterImpl<Avx2Policy>(m, rows, cols, x, y);
+}
 
 constexpr KernelOps kAvx2Ops = {
     SimdPath::kAvx2,
@@ -128,6 +132,7 @@ constexpr KernelOps kAvx2Ops = {
     &Avx2Adam,
     &Avx2MatVec,
     &Avx2Bilinear,
+    &Avx2AddOuter,
 };
 
 }  // namespace

@@ -27,9 +27,9 @@
 //     result = (v[0] + v[2]) + (v[1] + v[3])   (horizontal)
 // regardless of n, path, or machine.
 //
-// Element-wise kernels (Axpy / Scale / ScaleAdd / Adam / CopyRow) have no
-// cross-element order at all; they only need each element's op sequence
-// to match, which the shared template guarantees.
+// Element-wise kernels (Axpy / Scale / ScaleAdd / Adam / CopyRow /
+// AddOuter) have no cross-element order at all; they only need each
+// element's op sequence to match, which the shared template guarantees.
 //
 // IMPORTANT for maintainers: never instantiate a policy outside its own
 // translation unit. kernels.cc instantiates ScalarPolicy only and
@@ -49,28 +49,101 @@ inline constexpr size_t kLaneWidth = 4;
 
 // ---- Reductions -------------------------------------------------------
 
-/// sum_i a[i] * b[i] in the blocked order above.
+/// The four accumulators of one blocked reduction.
 template <typename P>
-double DotImpl(const double* a, const double* b, size_t n) {
-  typename P::Vec acc0 = P::Zero(), acc1 = P::Zero(), acc2 = P::Zero(),
-                  acc3 = P::Zero();
+struct Accumulators {
+  typename P::Vec a0 = P::Zero(), a1 = P::Zero(), a2 = P::Zero(),
+                  a3 = P::Zero();
+
+  /// a0 <- a1 <- a2 <- a3 <- a0: brings the next accumulator of the group
+  /// pattern into a0. Four rotations restore the original order.
+  void Rotate() {
+    const typename P::Vec t = a0;
+    a0 = a1;
+    a1 = a2;
+    a2 = a3;
+    a3 = t;
+  }
+
+  /// The fixed combination tree of the reduction contract.
+  double Reduce() const {
+    return P::ReduceTree(P::Add(P::Add(a0, a1), P::Add(a2, a3)));
+  }
+};
+
+/// Reduces R rows of `m` (consecutive rows `stride` doubles apart, each n
+/// long) against one vector x, side by side, into out[0..R). Row k's
+/// element i enters its own accumulators where the reduction contract puts
+/// it: `step(acc, row group, x group)` folds one 4-element group into one
+/// accumulator. Running rows together only interleaves independent chains;
+/// no row's operations or their order change.
+///
+/// No accumulator is ever picked by a run-time index — an index (such as
+/// an array of accumulator pointers for the tail) forces all four out of
+/// registers onto the stack. Instead the tail walks four slots, folding
+/// the next full or zero-padded partial group into a0 and rotating after
+/// each slot, so the groups after the main loop land in a0, a1, a2, a3 in
+/// turn and the fourth rotation restores the order the tree expects.
+/// Always inlined, so a dot inside a row loop costs no call.
+template <typename P, size_t R, typename Step>
+[[gnu::always_inline]] inline void ReduceRows(const double* m, size_t stride,
+                                              const double* x, size_t n,
+                                              const Step& step, double* out) {
+  using Vec = typename P::Vec;
+  Accumulators<P> acc[R];
   size_t i = 0;
   for (; i + kBlockWidth <= n; i += kBlockWidth) {
-    acc0 = P::Fma(P::Load(a + i), P::Load(b + i), acc0);
-    acc1 = P::Fma(P::Load(a + i + 4), P::Load(b + i + 4), acc1);
-    acc2 = P::Fma(P::Load(a + i + 8), P::Load(b + i + 8), acc2);
-    acc3 = P::Fma(P::Load(a + i + 12), P::Load(b + i + 12), acc3);
+    const Vec x0 = P::Load(x + i);
+    const Vec x1 = P::Load(x + i + 4);
+    const Vec x2 = P::Load(x + i + 8);
+    const Vec x3 = P::Load(x + i + 12);
+    for (size_t k = 0; k < R; ++k) {
+      const double* row = m + k * stride + i;
+      acc[k].a0 = step(acc[k].a0, P::Load(row), x0);
+      acc[k].a1 = step(acc[k].a1, P::Load(row + 4), x1);
+      acc[k].a2 = step(acc[k].a2, P::Load(row + 8), x2);
+      acc[k].a3 = step(acc[k].a3, P::Load(row + 12), x3);
+    }
   }
-  typename P::Vec* accs[kLaneWidth] = {&acc0, &acc1, &acc2, &acc3};
-  size_t g = 0;  // i is a multiple of 16 here, so the group pattern continues
-  for (; i + kLaneWidth <= n; i += kLaneWidth, ++g) {
-    *accs[g] = P::Fma(P::Load(a + i), P::Load(b + i), *accs[g]);
+  // i is a multiple of 16 here: at most three full groups and one partial
+  // group remain, and the group pattern continues at a0.
+  for (size_t slot = 0; slot < kLaneWidth; ++slot) {
+    if (i + kLaneWidth <= n) {
+      const Vec xg = P::Load(x + i);
+      for (size_t k = 0; k < R; ++k) {
+        acc[k].a0 = step(acc[k].a0, P::Load(m + k * stride + i), xg);
+      }
+      i += kLaneWidth;
+    } else if (i < n) {
+      const size_t r = n - i;
+      const Vec xg = P::LoadPartial(x + i, r);
+      for (size_t k = 0; k < R; ++k) {
+        acc[k].a0 =
+            step(acc[k].a0, P::LoadPartial(m + k * stride + i, r), xg);
+      }
+      i = n;
+    }
+    for (size_t k = 0; k < R; ++k) acc[k].Rotate();
   }
-  if (const size_t r = n - i) {
-    *accs[g] =
-        P::Fma(P::LoadPartial(a + i, r), P::LoadPartial(b + i, r), *accs[g]);
+  for (size_t k = 0; k < R; ++k) out[k] = acc[k].Reduce();
+}
+
+/// One fma per group: acc + a * b.
+template <typename P>
+struct FmaStep {
+  typename P::Vec operator()(typename P::Vec acc, typename P::Vec a,
+                             typename P::Vec b) const {
+    return P::Fma(a, b, acc);
   }
-  return P::ReduceTree(P::Add(P::Add(acc0, acc1), P::Add(acc2, acc3)));
+};
+
+/// sum_i a[i] * b[i] in the blocked order above.
+template <typename P>
+[[gnu::always_inline]] inline double DotImpl(const double* a,
+                                             const double* b, size_t n) {
+  double out;
+  ReduceRows<P, 1>(a, 0, b, n, FmaStep<P>(), &out);
+  return out;
 }
 
 /// sum_i a[i]^2, same order as DotImpl.
@@ -83,31 +156,16 @@ double Norm2SqImpl(const double* a, size_t n) {
 /// extra IEEE subtraction per element, identical in both policies.
 template <typename P>
 double DistSqImpl(const double* a, const double* b, size_t n) {
-  typename P::Vec acc0 = P::Zero(), acc1 = P::Zero(), acc2 = P::Zero(),
-                  acc3 = P::Zero();
-  size_t i = 0;
-  for (; i + kBlockWidth <= n; i += kBlockWidth) {
-    typename P::Vec d0 = P::Sub(P::Load(a + i), P::Load(b + i));
-    typename P::Vec d1 = P::Sub(P::Load(a + i + 4), P::Load(b + i + 4));
-    typename P::Vec d2 = P::Sub(P::Load(a + i + 8), P::Load(b + i + 8));
-    typename P::Vec d3 = P::Sub(P::Load(a + i + 12), P::Load(b + i + 12));
-    acc0 = P::Fma(d0, d0, acc0);
-    acc1 = P::Fma(d1, d1, acc1);
-    acc2 = P::Fma(d2, d2, acc2);
-    acc3 = P::Fma(d3, d3, acc3);
-  }
-  typename P::Vec* accs[kLaneWidth] = {&acc0, &acc1, &acc2, &acc3};
-  size_t g = 0;
-  for (; i + kLaneWidth <= n; i += kLaneWidth, ++g) {
-    typename P::Vec d = P::Sub(P::Load(a + i), P::Load(b + i));
-    *accs[g] = P::Fma(d, d, *accs[g]);
-  }
-  if (const size_t r = n - i) {
-    typename P::Vec d =
-        P::Sub(P::LoadPartial(a + i, r), P::LoadPartial(b + i, r));
-    *accs[g] = P::Fma(d, d, *accs[g]);
-  }
-  return P::ReduceTree(P::Add(P::Add(acc0, acc1), P::Add(acc2, acc3)));
+  using Vec = typename P::Vec;
+  double out;
+  ReduceRows<P, 1>(
+      a, 0, b, n,
+      [](Vec acc, Vec x, Vec y) {
+        const Vec d = P::Sub(x, y);
+        return P::Fma(d, d, acc);
+      },
+      &out);
+  return out;
 }
 
 // ---- Element-wise updates --------------------------------------------
@@ -251,27 +309,80 @@ void CopyRowImpl(double* dst, const double* src, size_t n) {
   }
 }
 
+/// m += x y^T for a rows x cols row-major m: m[r][k] += x[r] * y[k],
+/// rows in order. The product and the sum round separately — deliberately
+/// unfused, so the kernel reproduces the plain loop `row[k] += xr * y[k]`
+/// on a baseline x86-64 build (the AVX2 TU's -ffp-contract=off keeps its
+/// vmulpd and vaddpd apart). A row whose x[r] is zero is skipped and keeps
+/// its bytes: adding the +0.0 product to a -0.0 entry would not.
+template <typename P>
+void AddOuterImpl(double* m, size_t rows, size_t cols, const double* x,
+                  const double* y) {
+  using Vec = typename P::Vec;
+  for (size_t r = 0; r < rows; ++r) {
+    const double xr = x[r];
+    if (xr == 0.0) continue;
+    const Vec vx = P::Broadcast(xr);
+    double* row = m + r * cols;
+    auto update = [&](size_t i) {
+      P::Store(row + i, P::Add(P::Load(row + i), P::Mul(vx, P::Load(y + i))));
+    };
+    size_t i = 0;
+    for (; i + kBlockWidth <= cols; i += kBlockWidth) {
+      update(i);
+      update(i + 4);
+      update(i + 8);
+      update(i + 12);
+    }
+    for (; i + kLaneWidth <= cols; i += kLaneWidth) update(i);
+    if (const size_t rem = cols - i) {
+      P::StorePartial(row + i,
+                      P::Add(P::LoadPartial(row + i, rem),
+                             P::Mul(vx, P::LoadPartial(y + i, rem))),
+                      rem);
+    }
+  }
+}
+
 // ---- Composites (built on the reduction contract) ---------------------
 
-/// out[r] = Dot(row r of m, x): one blocked-order dot per row, rows in
-/// order.
+/// Rows the matrix kernels reduce side by side: three rows' twelve
+/// accumulators plus one shared group of x fill the sixteen AVX2
+/// registers, and each x group is loaded once for all three rows.
+inline constexpr size_t kMatVecRows = 3;
+
+/// out[r] = Dot(row r of m, x): each row in the blocked order of a lone
+/// dot, kMatVecRows rows at a time, then the last rows one by one.
 template <typename P>
 void MatVecImpl(const double* m, size_t rows, size_t cols, const double* x,
                 double* out) {
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = DotImpl<P>(m + r * cols, x, cols);
+  size_t r = 0;
+  for (; r + kMatVecRows <= rows; r += kMatVecRows) {
+    ReduceRows<P, kMatVecRows>(m + r * cols, cols, x, cols, FmaStep<P>(),
+                               out + r);
   }
+  for (; r < rows; ++r) out[r] = DotImpl<P>(m + r * cols, x, cols);
 }
 
 /// x^T M y: acc = fma(x[i], Dot(row i, y), acc) over rows in order, with
 /// the historical x[i] == 0 skip (exact: fma(0, q, acc) == acc for finite
 /// q, and skipping reproduces the seed's sparsity shortcut identically in
-/// both paths).
+/// both paths). The row dots are computed kMatVecRows at a time, as in
+/// MatVecImpl; a skipped row's dot may be computed but never enters acc.
 template <typename P>
 double BilinearImpl(const double* x, const double* m, const double* y,
                     size_t rows, size_t cols) {
   double acc = 0.0;
-  for (size_t i = 0; i < rows; ++i) {
+  size_t i = 0;
+  for (; i + kMatVecRows <= rows; i += kMatVecRows) {
+    double dots[kMatVecRows];
+    ReduceRows<P, kMatVecRows>(m + i * cols, cols, y, cols, FmaStep<P>(),
+                               dots);
+    for (size_t k = 0; k < kMatVecRows; ++k) {
+      if (x[i + k] != 0.0) acc = P::ScalarFma(x[i + k], dots[k], acc);
+    }
+  }
+  for (; i < rows; ++i) {
     const double xi = x[i];
     if (xi == 0.0) continue;
     acc = P::ScalarFma(xi, DotImpl<P>(m + i * cols, y, cols), acc);

@@ -14,10 +14,14 @@ struct Svd {
   Matrix v;
 };
 
+/// JacobiSvd's defaults, which PseudoInverse and PinvSolve also use.
+inline constexpr int kJacobiMaxSweeps = 60;
+inline constexpr double kJacobiTol = 1e-12;
+
 /// Computes the thin SVD by one-sided Jacobi rotations (Hestenes method).
 /// Robust for the modest sizes used here (d <= a few hundred columns).
-Result<Svd> JacobiSvd(const Matrix& a, int max_sweeps = 60,
-                      double tol = 1e-12);
+Result<Svd> JacobiSvd(const Matrix& a, int max_sweeps = kJacobiMaxSweeps,
+                      double tol = kJacobiTol);
 
 /// Moore-Penrose pseudoinverse A^+ via the SVD, with singular values below
 /// `rcond * sigma_max` treated as zero. This is the solver the paper's

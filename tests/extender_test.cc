@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 
 #include "src/data/registry.h"
@@ -346,6 +348,87 @@ TEST(ExtenderParallelTest, BatchResultIndependentOfArrivalOrder) {
   }
   EXPECT_EQ(phi_c4[0], phi_c4[1]);
   EXPECT_EQ(phi_c5[0], phi_c5[1]);
+}
+
+/// CRC-32 of every vector a one-by-one arrival stream extends, in arrival
+/// order. The paper's protocol on genes at 0.12: 32 prediction facts are
+/// cascade-deleted before training and re-inserted one cascade at a time
+/// (reverse deletion order), each followed by ExtendToFacts. Later
+/// arrivals sample the earlier ones as old facts, so the stream covers
+/// the distribution cache across calls as well as every solve.
+uint32_t ArrivalStreamCrc(size_t dim, int threads) {
+  data::GenConfig gen;
+  gen.scale = 0.12;
+  gen.seed = 9;
+  auto ds = data::MakeGenes(gen);
+  EXPECT_TRUE(ds.ok()) << ds.status();
+  db::Database& database = ds.value().database;
+  const db::RelationId rel = ds.value().pred_rel;
+  AttrKeySet excluded;
+  excluded.insert({rel, ds.value().pred_attr});
+
+  std::vector<db::CascadeResult> batches;
+  const std::vector<db::FactId> facts = ds.value().Samples();
+  for (size_t i = 0; i < facts.size() && batches.size() < 32; i += 2) {
+    if (!database.IsLive(facts[i])) continue;
+    auto cascade = db::CascadeDelete(database, facts[i]);
+    EXPECT_TRUE(cascade.ok()) << cascade.status();
+    batches.push_back(std::move(cascade).value());
+  }
+  EXPECT_EQ(batches.size(), 32u);
+
+  ForwardConfig cfg = TinyConfig();
+  cfg.dim = dim;
+  cfg.threads = threads;
+  auto emb = ForwardEmbedder::TrainStatic(&database, rel, excluded, cfg);
+  EXPECT_TRUE(emb.ok()) << emb.status();
+  ForwardEmbedder embedder = std::move(emb).value();
+
+  uint32_t crc = 0;
+  size_t extended = 0;
+  for (size_t b = batches.size(); b > 0; --b) {
+    auto ids = db::ReinsertBatch(database, batches[b - 1]);
+    EXPECT_TRUE(ids.ok()) << ids.status();
+    EXPECT_TRUE(embedder.ExtendToFacts(ids.value()).ok());
+    std::vector<db::FactId> fresh;
+    for (db::FactId f : ids.value()) {
+      if (database.fact(f).rel == rel) fresh.push_back(f);
+    }
+    std::sort(fresh.begin(), fresh.end());
+    for (db::FactId f : fresh) {
+      const la::Vector& v = embedder.model().phi(f);
+      crc = store::Crc32(v.data(), v.size() * sizeof(double), crc);
+      ++extended;
+    }
+  }
+  EXPECT_GE(extended, 32u);
+  return crc;
+}
+
+/// The extended bytes, pinned. The CRC was recorded before the kernel
+/// reductions, the Jacobi SVD's memory walk and the solve's row loop were
+/// rewritten, so it holds every later change to the extension arithmetic
+/// to those bytes — at any thread count and on every runnable SIMD path.
+/// dim 7 runs every reduction as one lane group plus a partial one; dim 18
+/// adds a full 16-element block before the partial group.
+TEST(ExtenderParallelTest, ArrivalStreamBytesMatchPinnedCrc) {
+  stedb::testing::SimdPathGuard guard;
+  std::vector<la::SimdPath> paths = {la::SimdPath::kScalar};
+  if (stedb::testing::HasAvx2()) paths.push_back(la::SimdPath::kAvx2);
+  const struct {
+    size_t dim;
+    uint32_t crc;
+  } pins[] = {{7, 2951757861u}, {18, 2620246205u}};
+  for (la::SimdPath path : paths) {
+    la::internal::ForceSimdPathForTest(path);
+    for (const auto& pin : pins) {
+      for (int threads : {1, 4}) {
+        EXPECT_EQ(ArrivalStreamCrc(pin.dim, threads), pin.crc)
+            << la::SimdPathName(path) << " dim=" << pin.dim
+            << " threads=" << threads;
+      }
+    }
+  }
 }
 
 TEST(ExtenderTest, CacheGrowsInOneByOneMode) {

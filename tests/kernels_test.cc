@@ -350,6 +350,197 @@ TEST(KernelsBitEqualityTest, AdamDividesByCorrectionsBelowOne) {
   }
 }
 
+// ---- Reductions against the documented order -------------------------
+// A plain loop spelling out the reduction contract of kernels_impl.h:
+// element i, zero-padded up to the next multiple of 4, goes by one fma
+// into lane i % 4 of accumulator (i / 4) % 4, and the 16 lanes combine in
+// the fixed tree. Both paths must reproduce it bit for bit, however the
+// kernels schedule their accumulators.
+
+/// `term(i, acc)` folds element i (or a padding element, i >= n) into one
+/// accumulator lane.
+template <typename Term>
+double ReferenceReduce(size_t n, const Term& term) {
+  double acc[4][4] = {};
+  const size_t padded = (n + 3) / 4 * 4;
+  for (size_t i = 0; i < padded; ++i) {
+    double& lane = acc[(i / 4) % 4][i % 4];
+    lane = term(i, lane);
+  }
+  double v[4];
+  for (size_t l = 0; l < 4; ++l) {
+    v[l] = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]);
+  }
+  return (v[0] + v[2]) + (v[1] + v[3]);
+}
+
+double ReferenceDot(const double* a, const double* b, size_t n) {
+  return ReferenceReduce(n, [&](size_t i, double acc) {
+    return i < n ? std::fma(a[i], b[i], acc) : std::fma(0.0, 0.0, acc);
+  });
+}
+
+double ReferenceDistSq(const double* a, const double* b, size_t n) {
+  return ReferenceReduce(n, [&](size_t i, double acc) {
+    const double d = i < n ? a[i] - b[i] : 0.0 - 0.0;
+    return std::fma(d, d, acc);
+  });
+}
+
+/// Gaussian values over 10^-150..10^150 with exact zeros of both signs:
+/// any reordering of a sum shows, and tiny products of opposite signs
+/// round to -0.0, so the padding lanes' fma(0, 0, -0.0) == +0.0 matters.
+std::vector<double> SharpBuf(Rng& rng, size_t n, size_t off) {
+  std::vector<double> buf(n + off);
+  for (double& x : buf) {
+    switch (rng.NextUint(8)) {
+      case 0:
+        x = 0.0;
+        break;
+      case 1:
+        x = -0.0;
+        break;
+      case 2:
+        x = (rng.NextUint(2) == 0 ? 1e-160 : -1e-160);
+        break;
+      default: {
+        const int exp10 = static_cast<int>(rng.NextUint(31)) - 15;
+        x = rng.NextGaussian(0.0, 1.0) * std::pow(10.0, exp10);
+      }
+    }
+  }
+  return buf;
+}
+
+TEST(KernelsReferenceTest, ReductionsFollowTheDocumentedOrder) {
+  Rng rng(4096);
+  size_t sequential_diffs = 0;
+  for (size_t n = 0; n <= 70; ++n) {
+    for (size_t off = 0; off < 4; ++off) {
+      const std::vector<double> ab = SharpBuf(rng, n, off);
+      const std::vector<double> bb = SharpBuf(rng, n, (off + 1) % 4);
+      const double* a = ab.data() + off;
+      const double* b = bb.data() + (off + 1) % 4;
+      const double dot = ReferenceDot(a, b, n);
+      const double norm = ReferenceDot(a, a, n);
+      const double dist = ReferenceDistSq(a, b, n);
+      double sequential = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        sequential = std::fma(a[i], b[i], sequential);
+      }
+      sequential_diffs += Bits(sequential) != Bits(dot);
+      for (const KernelOps* ops : RunnableTables()) {
+        EXPECT_TRUE(BitEq(ops->dot(a, b, n), dot))
+            << ops->name << " dot n=" << n << " off=" << off;
+        EXPECT_TRUE(BitEq(ops->norm2sq(a, n), norm))
+            << ops->name << " norm2sq n=" << n << " off=" << off;
+        EXPECT_TRUE(BitEq(ops->dist2(a, b, n), dist))
+            << ops->name << " dist2 n=" << n << " off=" << off;
+      }
+    }
+  }
+  // The inputs are sharp enough that another summation order shows.
+  EXPECT_GT(sequential_diffs, 50u);
+}
+
+TEST(KernelsReferenceTest, MatrixKernelsFollowTheDocumentedOrder) {
+  Rng rng(8192);
+  for (size_t rows = 1; rows <= 9; ++rows) {
+    for (size_t cols = 0; cols <= 70; ++cols) {
+      const size_t off = (rows + cols) % 4;
+      const std::vector<double> mb = SharpBuf(rng, rows * cols, off);
+      const std::vector<double> yb = SharpBuf(rng, cols, (off + 3) % 4);
+      std::vector<double> x = SharpBuf(rng, rows, 0);
+      const double* m = mb.data() + off;
+      const double* y = yb.data() + (off + 3) % 4;
+      // BilinearForm skips rows whose x_i is zero; keep a plain one too.
+      x[rows / 2] = 0.0;
+
+      std::vector<double> want(rows);
+      double bilinear = 0.0;
+      for (size_t r = 0; r < rows; ++r) {
+        want[r] = ReferenceDot(m + r * cols, y, cols);
+        if (x[r] != 0.0) bilinear = std::fma(x[r], want[r], bilinear);
+      }
+      for (const KernelOps* ops : RunnableTables()) {
+        std::vector<double> got(rows);
+        ops->matvec(m, rows, cols, y, got.data());
+        EXPECT_TRUE(BitEq(got, want))
+            << ops->name << " matvec " << rows << "x" << cols;
+        EXPECT_TRUE(BitEq(ops->bilinear(x.data(), m, y, rows, cols), bilinear))
+            << ops->name << " bilinear " << rows << "x" << cols;
+      }
+    }
+  }
+}
+
+/// N += c c^T exactly as the FoRWaRD extender's solve wrote it before it
+/// became la::AddOuter: rows with a zero coefficient skipped, the product
+/// and the sum rounded separately.
+void ReferenceAddOuter(double* m, size_t rows, size_t cols, const double* x,
+                       const double* y) {
+  for (size_t r = 0; r < rows; ++r) {
+    const double xr = x[r];
+    if (xr == 0.0) continue;
+    double* row = m + r * cols;
+    for (size_t k = 0; k < cols; ++k) row[k] += xr * y[k];
+  }
+}
+
+/// Every shape from 1x0 to 9x70, misaligned, with signed zeros in m and
+/// zeros in x, for y != x and for the extender's y == x. Both paths must
+/// match the old loop bit for bit; a fused multiply-add must not.
+TEST(KernelsReferenceTest, AddOuterMatchesTheUnfusedLoop) {
+  Rng rng(16384);
+  size_t fused_diffs = 0;
+  for (size_t rows = 1; rows <= 9; ++rows) {
+    for (size_t cols = 0; cols <= 70; ++cols) {
+      for (const bool square_of_x : {false, true}) {
+        if (square_of_x && rows != cols) continue;
+        const size_t off = (rows * 7 + cols) % 4;
+        const std::vector<double> init = SharpBuf(rng, rows * cols, off);
+        std::vector<double> x = SharpBuf(rng, rows, 0);
+        x[rows / 2] = 0.0;
+        const std::vector<double> yb = SharpBuf(rng, cols, (off + 2) % 4);
+        const double* y = square_of_x ? x.data() : yb.data() + (off + 2) % 4;
+
+        std::vector<double> want = init;
+        ReferenceAddOuter(want.data() + off, rows, cols, x.data(), y);
+        std::vector<double> fused = init;
+        for (size_t r = 0; r < rows; ++r) {
+          if (x[r] == 0.0) continue;
+          for (size_t k = 0; k < cols; ++k) {
+            double& e = fused[off + r * cols + k];
+            e = std::fma(x[r], y[k], e);
+          }
+        }
+        for (size_t i = 0; i < want.size(); ++i) {
+          fused_diffs += Bits(want[i]) != Bits(fused[i]);
+        }
+        for (const KernelOps* ops : RunnableTables()) {
+          std::vector<double> got = init;
+          ops->add_outer(got.data() + off, rows, cols, x.data(), y);
+          EXPECT_TRUE(BitEq(got, want))
+              << ops->name << " add_outer " << rows << "x" << cols
+              << (square_of_x ? " (y == x)" : "");
+        }
+      }
+    }
+  }
+  EXPECT_GT(fused_diffs, 100u);
+}
+
+TEST(KernelsReferenceTest, AddOuterSkipsZeroCoefficientRows) {
+  // Adding the +0.0 product to a -0.0 entry would flip its sign bit.
+  const double x[] = {0.0, 2.0};
+  const double y[] = {1.0, 3.0, 5.0};
+  for (const KernelOps* ops : RunnableTables()) {
+    std::vector<double> m(6, -0.0);
+    ops->add_outer(m.data(), 2, 3, x, y);
+    EXPECT_TRUE(BitEq(m, {-0.0, -0.0, -0.0, 2.0, 6.0, 10.0})) << ops->name;
+  }
+}
+
 // ---- End-to-end training bit-equality ---------------------------------
 // Train entire models with the dispatch forced to each path and require
 // byte-identical parameters: the property that keeps persisted models,

@@ -113,5 +113,20 @@ TEST(RngTest, ForkIndependentButDeterministic) {
   }
 }
 
+/// A keyed child stream is Rng(MixSeed(seed, key)), however many values
+/// the parent drew: fwd::DistCache forks Rng(s) by key and must see the
+/// stream that Rng(Rng::MixSeed(s, key)) gives.
+TEST(RngTest, KeyedForkIsTheMixedSeedStream) {
+  Rng root(0x0DD1D157ull);
+  root.NextUint(1 << 30);
+  for (uint64_t key : {0ull, 7ull, 123456789ull}) {
+    Rng forked = root.Fork(key);
+    Rng mixed(Rng::MixSeed(0x0DD1D157ull, key));
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_EQ(forked.NextUint(1 << 30), mixed.NextUint(1 << 30));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace stedb
