@@ -6,14 +6,17 @@
 // On startup (before the registered benchmarks run) the binary also emits
 // BENCH_parallel.json — serial vs. threaded wall-time for the three
 // parallelized hot paths and for a raw std::thread probe of the machine's
-// parallel capacity, plus scalar-vs-active timings of the dispatched
-// SIMD kernels (la/kernels.h) — so the perf trajectory of the parallel
-// runtime and the kernel layer is machine-readable from every CI run. Set
+// parallel capacity, the runtime's own per-fan-out cost, plus
+// scalar-vs-active timings of the dispatched SIMD kernels (la/kernels.h)
+// — so the perf trajectory of the parallel runtime and the kernel layer
+// is machine-readable from every CI run. Set
 // STEDB_BENCH_JSON to choose the output path, or STEDB_BENCH_JSON=off to
 // skip the emission. Use --benchmark_filter=NoSuchBenchmark to emit the
 // report without running the micro-benchmarks.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -374,6 +377,45 @@ double TimeRawThreads(int threads) {
   return t.ElapsedSeconds();
 }
 
+/// About a microsecond of serial arithmetic: the body of the fan-out probe.
+void MicroWorkUnit() {
+  double x = 1.0;
+  benchmark::DoNotOptimize(x);
+  for (int i = 0; i < 512; ++i) x = x * 0.999999 + 1e-6;
+  benchmark::DoNotOptimize(x);
+}
+
+struct FanoutTiming {
+  double median_us = 0.0;
+  /// Share of calls where some index ran off the calling thread.
+  double multi_thread_share = 0.0;
+};
+
+/// The runtime's own cost: back-to-back 64-task ParallelFor calls of ~1 µs
+/// bodies at `threads` (0 = the default count).
+FanoutTiming TimeFanout(int threads) {
+  constexpr size_t kFanouts = 3000;
+  constexpr size_t kTasks = 64;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<double> us(kFanouts);
+  size_t multi = 0;
+  for (double& call_us : us) {
+    std::atomic<bool> helped{false};
+    Timer t;
+    ParallelFor(threads, kTasks, [&](size_t) {
+      MicroWorkUnit();
+      if (std::this_thread::get_id() != caller) {
+        helped.store(true, std::memory_order_relaxed);
+      }
+    });
+    call_us = t.ElapsedSeconds() * 1e6;
+    if (helped.load()) ++multi;
+  }
+  std::nth_element(us.begin(), us.begin() + kFanouts / 2, us.end());
+  return {us[kFanouts / 2],
+          static_cast<double>(multi) / static_cast<double>(kFanouts)};
+}
+
 void BM_ForwardTrainStatic(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -545,6 +587,14 @@ void EmitParallelJson() {
     }
   }
 
+  struct Fanout {
+    const char* name;
+    int threads;
+    FanoutTiming timing;
+  };
+  Fanout fanouts[] = {{"default", 0, {}}, {"pin4", threaded, {}}};
+  for (Fanout& fo : fanouts) fo.timing = TimeFanout(fo.threads);
+
   const std::vector<KernelTiming> kernels = TimeKernels();
 
   FILE* f = std::fopen(path.c_str(), "w");
@@ -566,6 +616,19 @@ void EmitParallelJson() {
         "\"parallel_seconds\": %.6f, \"speedup\": %.3f}",
         first ? "" : ",\n", hp.name, hp.serial, hp.parallel,
         hp.parallel > 0.0 ? hp.serial / hp.parallel : 0.0);
+    first = false;
+  }
+  // The runtime's per-call cost: a 64-task fan-out of ~1 µs bodies. Read
+  // multi_thread_share next to raw_threads: both say how much parallel
+  // capacity the machine offered during the run.
+  std::fprintf(f, "\n  ],\n  \"fanout_64x1us\": [\n");
+  first = true;
+  for (const Fanout& fo : fanouts) {
+    std::fprintf(f,
+                 "%s    {\"name\": \"%s\", \"threads\": %d, "
+                 "\"median_us\": %.2f, \"multi_thread_share\": %.3f}",
+                 first ? "" : ",\n", fo.name, ResolveThreadCount(fo.threads),
+                 fo.timing.median_us, fo.timing.multi_thread_share);
     first = false;
   }
   // The SIMD kernel section: per-kernel scalar vs. active-path time. The

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "method: %s\n", made.status().ToString().c_str());
     return 1;
   }
-  std::unique_ptr<exp::EmbeddingMethod> embedder = std::move(made).value();
+  std::unique_ptr<api::Embedder> embedder = std::move(made).value();
   Status st = embedder->TrainStatic(&database, ds.pred_rel,
                                     exp::LabelExclusion(ds));
   if (!st.ok()) {

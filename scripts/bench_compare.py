@@ -48,7 +48,8 @@ import sys
 # engineered so the bench passing means the number is high). Everything
 # else numeric is a cost (seconds, ns, us) where larger is worse.
 BIGGER_IS_BETTER_SUFFIXES = ("_speedup", "_reduction")
-BIGGER_IS_BETTER_LEAVES = ("speedup", "qps", "recall_at_10")
+BIGGER_IS_BETTER_LEAVES = ("speedup", "qps", "recall_at_10",
+                           "multi_thread_share")
 # Exact-match shape fields: machine-independent workload descriptors. A
 # mismatch is structural (the workload changed), not timing noise.
 EXACT_FIELDS = ("vectors", "dim", "synced_fsyncs", "grouped_fsyncs")

@@ -397,7 +397,7 @@ Result<std::string> BuildHnsw(const HnswConfig& config,
   }
 
   // Per-node levels and norms: counter-based streams / pure kernel calls,
-  // one disjoint output slot per index — the ParallelRunner contract.
+  // one disjoint output slot per index — the ParallelFor contract.
   const Rng root(config.seed);
   const double inv_log_m = 1.0 / std::log(static_cast<double>(config.m));
   BuildGraph g;
@@ -405,10 +405,7 @@ Result<std::string> BuildHnsw(const HnswConfig& config,
   g.adj.resize(n);
   std::vector<double> norms;
   if (config.metric == Metric::kCosine) norms.resize(n);
-  // One runner for the whole build: a pinned thread count gets one pool
-  // instead of one per fan-out (two fan-outs per batch).
-  PooledRunner runner(config.threads);
-  runner.ParallelFor(n, [&](size_t i) {
+  ParallelFor(config.threads, n, [&](size_t i) {
     g.levels[i] = DrawLevel(root, facts[i], inv_log_m);
     if (!norms.empty()) {
       norms[i] = NormOf(config.metric, vectors.Row(i), dim);
@@ -441,7 +438,7 @@ Result<std::string> BuildHnsw(const HnswConfig& config,
     // (read-only) for its per-level candidates and selects its own
     // neighbors from them. No shared mutable state, so the results cannot
     // depend on scheduling.
-    runner.ParallelFor(batch_size, [&](size_t bi) {
+    ParallelFor(config.threads, batch_size, [&](size_t bi) {
       const auto node = static_cast<uint32_t>(next + bi);
       const double* q = vectors.Row(node);
       const double q_norm = norms.empty() ? 0.0 : norms[node];
@@ -493,7 +490,7 @@ Result<std::string> BuildHnsw(const HnswConfig& config,
       if (i == 0 || !links[i - 1].SameList(links[i])) group_starts.push_back(i);
     }
     group_starts.push_back(links.size());
-    runner.ParallelFor(group_starts.size() - 1, [&](size_t gi) {
+    ParallelFor(config.threads, group_starts.size() - 1, [&](size_t gi) {
       const uint32_t target = links[group_starts[gi]].target;
       const uint32_t level = links[group_starts[gi]].level;
       const uint32_t cap = level == 0 ? m0 : config.m;

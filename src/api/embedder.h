@@ -60,7 +60,7 @@ class Embedder {
   /// holding φ(facts[i]). `out` must be facts.size() x dim(). Fails with
   /// InvalidArgument on a shape mismatch and NotFound when any fact was
   /// never embedded; `out` contents are unspecified after an error. The
-  /// built-in methods parallelize large batches over a ParallelRunner —
+  /// built-in methods parallelize large batches with ParallelFor —
   /// this is the hot path feature extraction and serving go through.
   /// The default implementation loops the scalar Embed, so registered
   /// methods get the batch surface for free.

@@ -403,7 +403,7 @@ Status ServingSession::EmbedBatch(Span<const db::FactId> facts,
         "EmbedBatch: output shape must be facts x dim");
   }
   // Same gather helper as the in-memory embedders: large batches fan out
-  // over a ParallelRunner (threads steered by STEDB_THREADS, like every
+  // with ParallelFor (threads steered by STEDB_THREADS, like every
   // 0-default in this codebase).
   const size_t bad = la::GatherRows(
       facts.size(), dim(), /*threads=*/0, out,

@@ -1,8 +1,14 @@
 #include "src/common/parallel.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstdlib>
+#include <exception>
+#include <thread>
+#include <vector>
 
+#include "src/common/thread_annotations.h"
 #include "src/obs/metrics.h"
 
 namespace stedb {
@@ -10,8 +16,8 @@ namespace stedb {
 namespace {
 
 /// Registry series of the parallel runtime: how often the process fans
-/// out and how wide. One fan-out = one ParallelFor call (any runner);
-/// tasks = its index count.
+/// out and how wide. One fan-out = one ParallelFor call that reaches the
+/// pool (degree > 1 and n > 1); tasks = its index count.
 struct ParallelMetrics {
   obs::Registry& reg = obs::Registry::Global();
   obs::Counter& fanouts = reg.GetCounter(
@@ -29,6 +35,124 @@ ParallelMetrics& Metrics() {
 }
 
 [[maybe_unused]] const ParallelMetrics& g_eager_metrics = Metrics();
+
+/// Pool size cap: the helpers of a degree of 256, the STEDB_THREADS cap.
+constexpr size_t kMaxWorkers = 255;
+
+/// Guards the pool and the bookkeeping of every job posted to it.
+Mutex pool_mu;
+
+/// One ParallelFor call that reached the pool. It lives on the caller's
+/// stack, and the caller returns only after every helper that joined it
+/// has left.
+struct Job {
+  Job(const std::function<void(size_t)>& fn, size_t size, int degree)
+      : body(fn),
+        n(size),
+        // Chunked claiming keeps claims off the per-index hot path while
+        // still load-balancing uneven bodies (walk lengths, batch sizes
+        // vary).
+        chunk(std::max<size_t>(1, size / (static_cast<size_t>(degree) * 8))),
+        free_slots(degree - 1) {}
+
+  /// Claims and runs chunks until no index is left or a body threw.
+  void Run() {
+    for (;;) {
+      const size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
+      if (begin >= n) return;
+      const size_t end = std::min(n, begin + chunk);
+      try {
+        for (size_t i = begin; i < end; ++i) body(i);
+      } catch (...) {
+        MutexLock lock(pool_mu);
+        if (!error) error = std::current_exception();
+        next.store(n, std::memory_order_relaxed);  // abandon the rest
+        return;
+      }
+    }
+  }
+
+  bool Open() const STEDB_REQUIRES(pool_mu) {
+    return free_slots > 0 && next.load(std::memory_order_relaxed) < n;
+  }
+
+  const std::function<void(size_t)>& body;
+  const size_t n;
+  const size_t chunk;
+  std::atomic<size_t> next{0};                ///< next unclaimed index
+  int free_slots STEDB_GUARDED_BY(pool_mu);   ///< helpers that may still join
+  int helpers STEDB_GUARDED_BY(pool_mu) = 0;  ///< joined and not yet left
+  std::exception_ptr error STEDB_GUARDED_BY(pool_mu);
+  std::condition_variable helpers_left;
+};
+
+/// The process pool. Workers start at first use and the pool grows to the
+/// largest helper count any call asked for.
+class Pool {
+ public:
+  /// Grows the pool to at least `min_workers`, posts `job`, runs its
+  /// indices on the caller next to the idle workers that take its free
+  /// slots, and rethrows the job's first exception.
+  void Run(Job& job, size_t min_workers) {
+    {
+      MutexLock lock(pool_mu);
+      while (workers_.size() < min_workers) {
+        workers_.emplace_back([this] { WorkerLoop(); });
+      }
+      open_.push_back(&job);
+    }
+    // Workers beyond the job's free slots go back to sleep (or help
+    // another open job).
+    work_cv_.notify_all();
+    job.Run();
+    std::exception_ptr error;
+    {
+      UniqueMutexLock lock(pool_mu);
+      open_.erase(std::find(open_.begin(), open_.end(), &job));
+      while (job.helpers > 0) job.helpers_left.wait(lock.native());
+      error = job.error;
+    }
+    if (error) std::rethrow_exception(error);
+  }
+
+ private:
+  void WorkerLoop() {
+    UniqueMutexLock lock(pool_mu);
+    for (;;) {
+      Job* job = FindOpen();
+      if (job == nullptr) {
+        work_cv_.wait(lock.native());
+        continue;
+      }
+      --job->free_slots;
+      ++job->helpers;
+      lock.Unlock();
+      job->Run();
+      lock.Lock();
+      // Notify under the lock: once it is released the caller may return
+      // and destroy the job.
+      if (--job->helpers == 0) job->helpers_left.notify_one();
+    }
+  }
+
+  Job* FindOpen() STEDB_REQUIRES(pool_mu) {
+    for (Job* job : open_) {
+      if (job->Open()) return job;
+    }
+    return nullptr;
+  }
+
+  std::condition_variable work_cv_;  ///< idle workers wait for a job
+  std::vector<std::thread> workers_ STEDB_GUARDED_BY(pool_mu);
+  std::vector<Job*> open_ STEDB_GUARDED_BY(pool_mu);  ///< posted jobs
+};
+
+/// Never destroyed: idle workers sleep on it until the process exits, so
+/// no static destructor has to stop them or race a late caller.
+Pool& ThePool() {
+  static Pool* pool = new Pool;
+  return *pool;
+}
 
 }  // namespace
 
@@ -52,182 +176,19 @@ int ResolveThreadCount(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ParallelRunner::ParallelRunner(int threads)
-    : threads_(ResolveThreadCount(threads)) {
-  workers_.reserve(static_cast<size_t>(threads_ > 0 ? threads_ - 1 : 0));
-  // The caller participates in every job, so N threads of parallelism need
-  // only N - 1 pool workers.
-  for (int i = 1; i < threads_; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ParallelRunner::~ParallelRunner() {
-  {
-    MutexLock lock(mu_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ParallelRunner::ParallelFor(size_t n,
-                                 const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  {
-    ParallelMetrics& m = Metrics();
-    m.fanouts.Inc();
-    m.tasks.Inc(n);
-    m.fanout_size.Observe(static_cast<double>(n));
-  }
-  if (workers_.empty() || n == 1) {
+void ParallelFor(int threads, size_t n,
+                 const std::function<void(size_t)>& body) {
+  const int degree = n > 1 ? ResolveThreadCount(threads) : 1;
+  if (degree <= 1) {
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  {
-    MutexLock lock(mu_);
-    job_ = &body;
-    job_size_ = n;
-    next_index_ = 0;
-    inflight_ = 0;
-    // Chunked claiming keeps the claim lock off the per-index hot path while
-    // still load-balancing uneven bodies (walk lengths, batch sizes vary).
-    job_chunk_ = std::max<size_t>(
-        1, n / (static_cast<size_t>(threads_) * 8));
-    first_error_ = nullptr;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  RunJob();
-  std::exception_ptr error;
-  {
-    UniqueMutexLock lock(mu_);
-    while (!(next_index_ >= job_size_ && inflight_ == 0)) {
-      done_cv_.wait(lock.native());
-    }
-    job_ = nullptr;
-    error = first_error_;
-    first_error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-void ParallelRunner::RunJob() {
-  for (;;) {
-    const std::function<void(size_t)>* body;
-    size_t begin, end;
-    {
-      MutexLock lock(mu_);
-      if (job_ == nullptr || next_index_ >= job_size_) return;
-      body = job_;
-      begin = next_index_;
-      end = std::min(job_size_, begin + job_chunk_);
-      next_index_ = end;
-      inflight_ += end - begin;
-    }
-    try {
-      for (size_t i = begin; i < end; ++i) (*body)(i);
-    } catch (...) {
-      MutexLock lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-      next_index_ = job_size_;  // abandon unclaimed indices
-    }
-    bool done;
-    {
-      MutexLock lock(mu_);
-      inflight_ -= end - begin;
-      done = next_index_ >= job_size_ && inflight_ == 0;
-    }
-    if (done) done_cv_.notify_all();
-  }
-}
-
-void ParallelRunner::WorkerLoop() {
-  uint64_t seen = 0;
-  for (;;) {
-    {
-      UniqueMutexLock lock(mu_);
-      while (!shutdown_ && generation_ == seen) work_cv_.wait(lock.native());
-      if (shutdown_) return;
-      seen = generation_;
-    }
-    RunJob();
-  }
-}
-
-ParallelRunner& SharedRunner() {
-  // Sized at first use; the workers live for the process lifetime and are
-  // joined during static destruction.
-  static ParallelRunner runner(0);
-  return runner;
-}
-
-namespace {
-// True on the thread driving a shared-pool fan-out. A nested call from
-// that thread must not touch shared_mu at all: try_lock by the owning
-// thread is undefined behavior for std::mutex, and the flag routes it
-// to a dedicated runner before the lock is reached. (Nested calls from
-// pool *worker* threads hit try_lock as non-owners — defined, returns
-// false — and take the same dedicated-runner path.)
-thread_local bool in_shared_fanout = false;
-}  // namespace
-
-bool TrySharedParallelFor(size_t n, const std::function<void(size_t)>& body) {
-  if (in_shared_fanout) return false;
-  // ParallelFor is not safe for concurrent callers on one runner, so
-  // the shared pool is guarded by a try-lock: the common case (one
-  // fan-out at a time) reuses the warm pool, while a caller that finds
-  // it busy falls through to a dedicated runner instead of blocking
-  // behind the active job.
-  static Mutex shared_mu;
-  if (!shared_mu.try_lock()) return false;
-  MutexLock lock(shared_mu, std::adopt_lock);
-  in_shared_fanout = true;
-  struct Reset {
-    bool* flag;
-    ~Reset() { *flag = false; }
-  } reset{&in_shared_fanout};  // exception-safe: ParallelFor rethrows
-  SharedRunner().ParallelFor(n, body);
-  return true;
-}
-
-void RunParallelFor(int threads, size_t n,
-                    const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  if (n == 1 || ResolveThreadCount(threads) <= 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  if (threads == 0 && TrySharedParallelFor(n, body)) return;
-  ParallelRunner runner(threads);
-  runner.ParallelFor(n, body);
-}
-
-PooledRunner::PooledRunner(int threads)
-    : threads_(ResolveThreadCount(threads)) {
-  // Pins get their dedicated pool up front; the default route stays on
-  // the shared pool until (if ever) it is found busy.
-  if (threads > 0) owned_ = std::make_unique<ParallelRunner>(threads);
-}
-
-void PooledRunner::ParallelFor(size_t n,
-                               const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  if (owned_ != nullptr) {
-    owned_->ParallelFor(n, body);
-    return;
-  }
-  if (threads_ <= 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  if (TrySharedParallelFor(n, body)) return;
-  // Shared pool busy (another trainer, or a nested fan-out): switch this
-  // handle to its own pool once and keep it — a training loop calls
-  // ParallelFor per chunk, and a pool construction per chunk is exactly
-  // the overhead this class exists to avoid.
-  owned_ = std::make_unique<ParallelRunner>(threads_);
-  owned_->ParallelFor(n, body);
+  ParallelMetrics& m = Metrics();
+  m.fanouts.Inc();
+  m.tasks.Inc(n);
+  m.fanout_size.Observe(static_cast<double>(n));
+  Job job(body, n, degree);
+  ThePool().Run(job, std::min(static_cast<size_t>(degree - 1), kMaxWorkers));
 }
 
 }  // namespace stedb

@@ -1,32 +1,40 @@
 #ifndef STEDB_COMMON_PARALLEL_H_
 #define STEDB_COMMON_PARALLEL_H_
 
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <thread>
-#include <vector>
-
-#include "src/common/thread_annotations.h"
 
 namespace stedb {
 
-/// Resolves a requested thread count to the number of workers to actually
-/// use:
+/// Resolves a requested thread count to the parallelism degree to use:
 ///  * `requested`, when positive (explicit pins always win — nested
 ///    fan-outs pin their children to 1, tests pin 1 vs 4);
 ///  * otherwise (requested == 0, every config's default) the STEDB_THREADS
-///    environment variable when set to a positive integer — the knob bench
-///    binaries, examples and CI use, with no per-binary plumbing;
+///    environment variable when set to a positive integer (capped at 256)
+///    — the knob bench binaries, examples and CI use, with no per-binary
+///    plumbing;
 ///  * otherwise std::thread::hardware_concurrency().
 /// The result is always >= 1.
 int ResolveThreadCount(int requested);
 
-/// A reusable blocking thread-pool runtime for deterministic parallelism.
+/// Runs body(i) for every i in [0, n) and returns once every claimed index
+/// has finished. The single entry point of the parallel runtime.
 ///
-/// Design contract: ParallelRunner parallelizes *scheduling only*. Results
+/// Scheduling: the parallelism degree is ResolveThreadCount(threads). The
+/// caller runs indices itself, and at most degree − 1 workers of one
+/// lazily started process pool join it; a degree of 1, or n <= 1, runs
+/// inline. The pool grows to the largest degree − 1 any call has asked for
+/// (capped at 255), so an explicit pin gets real helpers whatever the
+/// default resolves to. Indices are claimed in chunks of
+/// max(1, n / (degree * 8)).
+///
+/// Safe to call concurrently and from inside a running body: a call never
+/// waits for a busy pool, only for the helpers that already joined its own
+/// job, so nested fan-outs cannot deadlock. If a body throws, the first
+/// exception is rethrown once the claimed indices finish; the remaining
+/// indices may or may not run.
+///
+/// Design contract: ParallelFor parallelizes *scheduling only*. Results
 /// are bit-identical for any thread count as long as callers follow two
 /// rules that every compute layer in this codebase obeys:
 ///  1. each index of a ParallelFor touches only state it owns (disjoint
@@ -35,142 +43,14 @@ int ResolveThreadCount(int requested);
 ///     (`Rng::Fork(stream_id)` keyed by the index), never from a shared
 ///     sequential generator.
 /// Floating-point reductions must additionally combine partial results in
-/// index order — ShardedReduce below does exactly that, with a *caller-
-/// fixed* shard count so the summation tree does not change with the pool
-/// size.
+/// index order, over a *caller-fixed* number of parts, so the summation
+/// tree does not change with the thread count.
 ///
-/// threads() == 1 runs everything inline on the caller with zero pool
+/// A degree of 1 runs everything inline on the caller with zero pool
 /// overhead, which doubles as the reference serial path: the parallel and
 /// serial executions are the same algorithm by construction.
-class ParallelRunner {
- public:
-  /// `threads` is resolved via ResolveThreadCount (0 = hardware
-  /// concurrency, STEDB_THREADS overrides). Workers are started once and
-  /// reused across all ParallelFor calls.
-  explicit ParallelRunner(int threads = 0);
-  ~ParallelRunner();
-
-  ParallelRunner(const ParallelRunner&) = delete;
-  ParallelRunner& operator=(const ParallelRunner&) = delete;
-
-  int threads() const { return threads_; }
-
-  /// Runs body(i) for every i in [0, n), distributed over the pool (the
-  /// calling thread participates). Blocks until every index completed.
-  /// If any body throws, the first captured exception is rethrown after
-  /// all workers drained; the remaining indices may or may not run.
-  /// Not reentrant: do not call ParallelFor from inside a body running on
-  /// the same runner.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
-
-  /// Sharded map-reduce over [0, n): the range is split into `num_shards`
-  /// contiguous shards, `map(begin, end)` runs per shard on the pool, and
-  /// the partial results are combined *in shard order* on the caller.
-  /// `num_shards` is chosen by the caller and must not depend on the
-  /// thread count when bit-reproducibility across pool sizes is required
-  /// (it fixes the floating-point combination order).
-  template <typename T, typename MapFn, typename CombineFn>
-  T ShardedReduce(size_t n, size_t num_shards, T init, const MapFn& map,
-                  const CombineFn& combine) {
-    if (n == 0) return init;
-    if (num_shards == 0) num_shards = 1;
-    if (num_shards > n) num_shards = n;
-    std::vector<T> parts(num_shards);
-    const size_t base = n / num_shards;
-    const size_t rem = n % num_shards;
-    ParallelFor(num_shards, [&](size_t s) {
-      const size_t begin = s * base + (s < rem ? s : rem);
-      const size_t end = begin + base + (s < rem ? 1 : 0);
-      parts[s] = map(begin, end);
-    });
-    T acc = std::move(init);
-    for (size_t s = 0; s < num_shards; ++s) {
-      acc = combine(std::move(acc), std::move(parts[s]));
-    }
-    return acc;
-  }
-
- private:
-  void WorkerLoop();
-  /// Pulls chunks of the current job until the index space is exhausted.
-  void RunJob();
-
-  int threads_;
-  std::vector<std::thread> workers_;
-
-  Mutex mu_;
-  std::condition_variable work_cv_;  ///< workers wait for a new job
-  std::condition_variable done_cv_;  ///< caller waits for completion
-  const std::function<void(size_t)>* job_ STEDB_GUARDED_BY(mu_) = nullptr;
-  size_t job_size_ STEDB_GUARDED_BY(mu_) = 0;
-  size_t job_chunk_ STEDB_GUARDED_BY(mu_) = 1;
-  size_t next_index_ STEDB_GUARDED_BY(mu_) = 0;  ///< next unclaimed index
-  size_t inflight_ STEDB_GUARDED_BY(mu_) = 0;  ///< claimed-but-unfinished
-  /// Bumped per job so workers wake exactly once.
-  uint64_t generation_ STEDB_GUARDED_BY(mu_) = 0;
-  bool shutdown_ STEDB_GUARDED_BY(mu_) = false;
-  std::exception_ptr first_error_ STEDB_GUARDED_BY(mu_);
-};
-
-/// The per-process shared pool for transient fan-outs (batch reads, row
-/// gathers, per-batch extension solves): sized once at first use via
-/// ResolveThreadCount(0) (STEDB_THREADS, else hardware concurrency) and
-/// reused for the process lifetime, so hot paths stop paying a pool
-/// spin-up per large call. Concurrent fan-outs are serialized by
-/// RunParallelFor below — use that entry point rather than calling
-/// ParallelFor on this runner directly.
-ParallelRunner& SharedRunner();
-
-/// Runs body(i) for every i in [0, n), on:
-///  * the calling thread, when `threads` resolves to 1 (or n <= 1);
-///  * the shared per-process pool, when `threads` == 0 (the default in
-///    every config) and the pool is idle — concurrent `threads == 0`
-///    fan-outs that find it busy get a dedicated runner instead of
-///    queueing, so callers never block behind each other's jobs;
-///  * a dedicated ParallelRunner(threads), when the caller pinned an
-///    explicit count (pins always win and never contend on the shared
-///    pool).
-/// Results are bit-identical at any thread count under the ParallelRunner
-/// contract, and the entry point is safe to call concurrently and from
-/// inside another fan-out's body.
-void RunParallelFor(int threads, size_t n,
-                    const std::function<void(size_t)>& body);
-
-/// Attempts to run the fan-out on the shared per-process pool. Returns
-/// false — without running anything — when the pool is busy with another
-/// caller's job or when this thread is already inside a shared-pool
-/// fan-out (nested calls must not re-enter the runner). Building block
-/// for RunParallelFor and PooledRunner.
-bool TrySharedParallelFor(size_t n, const std::function<void(size_t)>& body);
-
-/// The runner handle for long-lived training loops (one handle per Train
-/// call, many ParallelFor calls per handle):
-///  * an explicit pin (`threads` > 0) gets a dedicated pool for the
-///    handle's lifetime, exactly like constructing a ParallelRunner —
-///    pins never contend on the shared pool;
-///  * the default (`threads` == 0) reuses the per-process SharedRunner()
-///    pool call by call, so back-to-back Train calls stop paying a pool
-///    spin-up each, and only falls back to one lazily created dedicated
-///    pool (kept for the rest of the handle's lifetime) when the shared
-///    pool is busy — e.g. two default-threaded trainers running
-///    concurrently.
-/// The parallelism degree is ResolveThreadCount(threads) on every route,
-/// so results stay bit-identical whichever pool executes the job.
-class PooledRunner {
- public:
-  explicit PooledRunner(int threads);
-
-  /// The parallelism degree every ParallelFor call of this handle uses.
-  int threads() const { return threads_; }
-
-  /// Same contract as ParallelRunner::ParallelFor (blocking, exceptions
-  /// rethrown, not reentrant on the same handle).
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
-
- private:
-  int threads_;
-  std::unique_ptr<ParallelRunner> owned_;  ///< pinned, or busy-fallback
-};
+void ParallelFor(int threads, size_t n,
+                 const std::function<void(size_t)>& body);
 
 }  // namespace stedb
 

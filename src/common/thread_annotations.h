@@ -85,7 +85,6 @@ class STEDB_CAPABILITY("mutex") Mutex {
 
   void lock() STEDB_ACQUIRE() { mu_.lock(); }
   void unlock() STEDB_RELEASE() { mu_.unlock(); }
-  bool try_lock() STEDB_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   std::mutex& native() { return mu_; }
 
@@ -111,12 +110,9 @@ class STEDB_CAPABILITY("shared_mutex") SharedMutex {
 };
 
 /// RAII exclusive lock over Mutex — the annotated std::lock_guard.
-/// The std::adopt_lock overload takes ownership of an already-held lock
-/// (the try_lock() + adopt idiom in TrySharedParallelFor).
 class STEDB_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) STEDB_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  MutexLock(Mutex& mu, std::adopt_lock_t) STEDB_REQUIRES(mu) : mu_(mu) {}
   ~MutexLock() STEDB_RELEASE() { mu_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;

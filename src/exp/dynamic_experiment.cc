@@ -49,7 +49,7 @@ Result<RunOutcome> RunOnce(const data::GeneratedDataset& ds,
   // All-at-once mode recomputes old walk distributions (FoRWaRD only).
   MethodConfig run_cfg = mcfg;
   run_cfg.forward.recompute_old_paths = !dcfg.one_by_one;
-  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<EmbeddingMethod> embedder,
+  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> embedder,
                          MakeMethod(method, run_cfg, run_seed));
   STEDB_RETURN_IF_ERROR(
       embedder->TrainStatic(&database, ds.pred_rel, LabelExclusion(ds)));
@@ -174,7 +174,7 @@ Result<DynamicResult> RunDynamicExperiment(const data::GeneratedDataset& ds,
                                            const DynamicConfig& dcfg) {
   // Resolve the name once so an unknown method fails fast (and with the
   // registry's NotFound message) instead of inside the run fan-out.
-  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<EmbeddingMethod> probe,
+  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> probe,
                          MakeMethod(method, mcfg, dcfg.seed));
   DynamicResult result;
   result.dataset = ds.name;
@@ -183,21 +183,22 @@ Result<DynamicResult> RunDynamicExperiment(const data::GeneratedDataset& ds,
   result.one_by_one = dcfg.one_by_one;
 
   // Runs are independent (private database copies, disjoint seeds): fan
-  // them out over the runner and aggregate in run order. The pool is
-  // split between the run fan-out and nested training (surplus workers go
-  // to each run's trainer) — training results are thread-count-invariant,
+  // them out over the pool and aggregate in run order. The degree is
+  // split between the run fan-out and nested training (surplus threads go
+  // to each run's trainer; with at least as many runs as threads, nested
+  // training runs inline) — training results are thread-count-invariant,
   // so this only avoids oversubscription.
-  ParallelRunner runner(dcfg.threads);
+  const int degree = ResolveThreadCount(dcfg.threads);
   MethodConfig run_mcfg = mcfg;
-  if (runner.threads() > 1) {
-    const int inner = std::max(1, runner.threads() / std::max(dcfg.runs, 1));
+  if (degree > 1) {
+    const int inner = std::max(1, degree / std::max(dcfg.runs, 1));
     run_mcfg.forward.threads = inner;
     run_mcfg.node2vec.walk.threads = inner;
     run_mcfg.node2vec.sg.threads = inner;
   }
   std::vector<std::optional<Result<RunOutcome>>> outcomes(
       static_cast<size_t>(std::max(dcfg.runs, 0)));
-  runner.ParallelFor(outcomes.size(), [&](size_t run) {
+  ParallelFor(dcfg.threads, outcomes.size(), [&](size_t run) {
     outcomes[run].emplace(
         RunOnce(ds, method, run_mcfg, dcfg, static_cast<int>(run)));
   });

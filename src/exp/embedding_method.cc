@@ -74,9 +74,9 @@ MethodConfig MethodConfig::ForScale(RunScale scale) {
   return cfg;
 }
 
-Result<std::unique_ptr<EmbeddingMethod>> MakeMethod(const std::string& name,
-                                                    const MethodConfig& config,
-                                                    uint64_t seed) {
+Result<std::unique_ptr<api::Embedder>> MakeMethod(const std::string& name,
+                                                  const MethodConfig& config,
+                                                  uint64_t seed) {
   return api::CreateMethod(name, config, seed);
 }
 

@@ -10,12 +10,6 @@
 
 namespace stedb::exp {
 
-/// The interface every experiment drives: one instance = one trained
-/// embedding over one database. This is api::Embedder — the experiment
-/// harness predates the api layer, and the alias keeps its code reading
-/// unchanged while all construction goes through the method registry.
-using EmbeddingMethod = api::Embedder;
-
 /// Experiment scale presets. kSmoke is for tests/CI, kPaper approaches the
 /// paper's hyperparameters (Table II) — expensive on a single CPU core.
 enum class RunScale { kSmoke, kDefault, kPaper };
@@ -38,11 +32,11 @@ struct MethodConfig : api::MethodOptions {
 
 /// Builds a method instance by registry name — "forward", "node2vec"
 /// (case-insensitive), or anything registered via api::RegisterMethod.
-/// `seed` controls all of the instance's randomness. NotFound for unknown
-/// names.
-Result<std::unique_ptr<EmbeddingMethod>> MakeMethod(const std::string& name,
-                                                    const MethodConfig& config,
-                                                    uint64_t seed);
+/// One instance = one trained embedding over one database. `seed` controls
+/// all of the instance's randomness. NotFound for unknown names.
+Result<std::unique_ptr<api::Embedder>> MakeMethod(const std::string& name,
+                                                  const MethodConfig& config,
+                                                  uint64_t seed);
 
 }  // namespace stedb::exp
 

@@ -18,7 +18,7 @@ fwd::AttrKeySet LabelExclusion(const data::GeneratedDataset& ds) {
 
 Result<ml::FeatureDataset> EmbeddingFeatures(
     const db::Database& database, db::AttrId pred_attr,
-    const EmbeddingMethod& method, const std::vector<db::FactId>& facts,
+    const api::Embedder& method, const std::vector<db::FactId>& facts,
     ml::LabelEncoder& encoder) {
   // One batch read instead of a per-fact copy+return loop: the methods
   // gather all rows at once (parallelized for large fact sets).
@@ -36,7 +36,7 @@ Result<ml::FeatureDataset> EmbeddingFeatures(
 }
 
 Result<ml::FeatureDataset> EmbeddingFeatures(
-    const data::GeneratedDataset& ds, const EmbeddingMethod& method,
+    const data::GeneratedDataset& ds, const api::Embedder& method,
     const std::vector<db::FactId>& facts, ml::LabelEncoder& encoder) {
   return EmbeddingFeatures(ds.database, ds.pred_attr, method, facts, encoder);
 }
@@ -66,39 +66,42 @@ Result<StaticResult> RunStaticExperiment(const data::GeneratedDataset& ds,
   // Resolve the method once up front: an unknown registry name fails here
   // with NotFound instead of inside the fold fan-out, and the instance
   // doubles as the shared embedding when embedding_per_fold is off.
-  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<EmbeddingMethod> resolved,
+  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> resolved,
                          MakeMethod(method, mcfg, scfg.seed));
   const std::string method_name = resolved->Name();
 
   // Either one embedding per fold (paper protocol) or a single shared one.
   // The per-fold embeddings — the dominant cost — are built up front, fanned
-  // out over the runner; the folds are independent (disjoint seeds, shared
+  // out over the pool; the folds are independent (disjoint seeds, shared
   // read-only database), and the result slots keep them in fold order.
-  std::unique_ptr<EmbeddingMethod> shared;
+  std::unique_ptr<api::Embedder> shared;
   std::vector<std::optional<Result<ml::FeatureDataset>>> fold_data;
   if (scfg.embedding_per_fold) {
-    ParallelRunner runner(scfg.threads);
+    const int degree = ResolveThreadCount(scfg.threads);
     MethodConfig fold_cfg = mcfg;
-    if (runner.threads() > 1) {
-      // Split the pool between the fold fan-out and nested training: with
-      // more workers than folds the surplus goes to each fold's trainer,
-      // with more folds than workers nested training runs serially.
-      // Training results are thread-count-invariant, so this changes
-      // nothing but scheduling.
-      const int inner = std::max(1, runner.threads() / scfg.folds);
+    if (degree > 1) {
+      // Split the degree between the fold fan-out and nested training:
+      // with more threads than folds the surplus goes to each fold's
+      // trainer, with more folds than threads nested training runs
+      // inline — the fold fan-out already fills the pool, so a wider pin
+      // would only chunk work for helpers that never come. Training
+      // results are thread-count-invariant, so this changes nothing but
+      // scheduling.
+      const int inner = std::max(1, degree / scfg.folds);
       fold_cfg.forward.threads = inner;
       fold_cfg.node2vec.walk.threads = inner;
       fold_cfg.node2vec.sg.threads = inner;
     }
-    fold_data.resize(static_cast<size_t>(scfg.folds));
-    std::vector<double> fold_seconds(static_cast<size_t>(scfg.folds), 0.0);
-    runner.ParallelFor(static_cast<size_t>(scfg.folds), [&](size_t fold) {
+    const size_t folds = static_cast<size_t>(scfg.folds);
+    fold_data.resize(folds);
+    std::vector<double> fold_seconds(folds, 0.0);
+    ParallelFor(scfg.threads, folds, [&](size_t fold) {
       auto made = MakeMethod(method, fold_cfg, scfg.seed + 7919 * fold);
       if (!made.ok()) {
         fold_data[fold].emplace(made.status());
         return;
       }
-      std::unique_ptr<EmbeddingMethod> m = std::move(made).value();
+      std::unique_ptr<api::Embedder> m = std::move(made).value();
       Timer t;
       Status st = m->TrainStatic(&ds.database, ds.pred_rel, excluded);
       fold_seconds[fold] = t.ElapsedSeconds();

@@ -57,12 +57,12 @@ Result<StaticResult> RunFlatBaseline(const data::GeneratedDataset& ds,
 /// `method` (already trained), labels from `pred_attr`.
 Result<ml::FeatureDataset> EmbeddingFeatures(
     const db::Database& database, db::AttrId pred_attr,
-    const EmbeddingMethod& method, const std::vector<db::FactId>& facts,
+    const api::Embedder& method, const std::vector<db::FactId>& facts,
     ml::LabelEncoder& encoder);
 
 /// Convenience overload over the dataset's own database.
 Result<ml::FeatureDataset> EmbeddingFeatures(
-    const data::GeneratedDataset& ds, const EmbeddingMethod& method,
+    const data::GeneratedDataset& ds, const api::Embedder& method,
     const std::vector<db::FactId>& facts, ml::LabelEncoder& encoder);
 
 /// The excluded-attribute set for a dataset (its label column).

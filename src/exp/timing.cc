@@ -13,7 +13,7 @@ Result<StaticTiming> MeasureStaticTime(const data::GeneratedDataset& ds,
   const fwd::AttrKeySet excluded = LabelExclusion(ds);
 
   {
-    STEDB_ASSIGN_OR_RETURN(std::unique_ptr<EmbeddingMethod> m,
+    STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> m,
                            MakeMethod("node2vec", mcfg, seed));
     Timer t;
     STEDB_RETURN_IF_ERROR(
@@ -21,7 +21,7 @@ Result<StaticTiming> MeasureStaticTime(const data::GeneratedDataset& ds,
     timing.node2vec_seconds = t.ElapsedSeconds();
   }
   {
-    STEDB_ASSIGN_OR_RETURN(std::unique_ptr<EmbeddingMethod> m,
+    STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> m,
                            MakeMethod("forward", mcfg, seed));
     Timer t;
     STEDB_RETURN_IF_ERROR(

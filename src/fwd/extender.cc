@@ -135,7 +135,7 @@ Status ForwardExtender::ExtendBatch(ForwardModel& model,
   // samples another, which also makes the result independent of arrival
   // order (matching the fact-id-ordered journal).
   std::vector<std::optional<Result<la::Vector>>> solutions(todo.size());
-  RunParallelFor(threads, todo.size(), [&](size_t i) {
+  ParallelFor(threads, todo.size(), [&](size_t i) {
     Rng fact_rng = batch_root.Fork(static_cast<uint64_t>(todo[i]));
     solutions[i].emplace(SolveOne(model, old_facts, todo[i], fact_rng));
   });

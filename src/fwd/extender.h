@@ -28,8 +28,8 @@ namespace stedb::fwd {
 /// written.
 ///
 /// This is the paper's hot dynamic path, and the per-fact solves are
-/// independent — ExtendBatch fans one arrival batch's solves out over a
-/// ParallelRunner. Determinism at any thread count comes from two rules:
+/// independent — ExtendBatch fans one arrival batch's solves out with
+/// ParallelFor. Determinism at any thread count comes from two rules:
 ///  * every fact solves on its own counter-based RNG stream (keyed by the
 ///    fact id off one serial draw per batch), so neither scheduling order
 ///    nor batch composition perturbs a fact's samples;
@@ -62,8 +62,8 @@ class ForwardExtender {
   /// Batch extension: solves φ for every fact in `facts` (each must be a
   /// live, not-yet-embedded fact of the model's relation; duplicates are
   /// solved once) against the model state at entry, fanned out over
-  /// `threads` workers (0 = the shared process pool via STEDB_THREADS /
-  /// hardware concurrency). Solutions are installed into `model` — and
+  /// `threads` (0 = STEDB_THREADS, else hardware concurrency; see
+  /// ResolveThreadCount). Solutions are installed into `model` — and
   /// appended to `*extended` when non-null — in ascending fact-id order;
   /// on a solver error, facts preceding the failing one (in that order)
   /// are still installed and the first error is returned. Bit-identical

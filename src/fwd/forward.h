@@ -48,7 +48,7 @@ class ForwardEmbedder {
   Result<la::Vector> Embed(db::FactId f) const { return model_.Embed(f); }
 
   /// Batch read: fills `out` (facts.size() x dim()) with one φ row per
-  /// requested fact. Large batches fan out over a ParallelRunner
+  /// requested fact. Large batches fan out with ParallelFor
   /// (`config.threads` wide); bytes are identical at any thread count.
   /// NotFound when any fact was never embedded, InvalidArgument on a
   /// shape mismatch; `out` is unspecified after an error.

@@ -131,9 +131,6 @@ Result<ForwardModel> ForwardTrainer::Train(db::RelationId rel,
 
   WalkSampler sampler(db_);
   DistCache dists(db_, dist_root);
-  // PooledRunner: the default thread count reuses the per-process shared
-  // pool, so back-to-back Train calls stop paying a pool spin-up each.
-  PooledRunner runner(config_.threads);
 
   // Dense φ-row index: facts of a relation map to contiguous blocks, so one
   // pointer array replaces the seed's per-sample unordered_map lookups (a
@@ -269,7 +266,7 @@ Result<ForwardModel> ForwardTrainer::Train(db::RelationId rel,
 
     Timer stage_timer;
     const size_t first = std::min(kMaterializeChunk, F);
-    runner.ParallelFor(first, [&](size_t ci) {
+    ParallelFor(config_.threads, first, [&](size_t ci) {
       materialize(epoch, order[ci], cur[ci]);
     });
     double apply_s = 0.0;
@@ -281,7 +278,7 @@ Result<ForwardModel> ForwardTrainer::Train(db::RelationId rel,
           next_begin < F ? std::min(kMaterializeChunk, F - next_begin) : 0;
       double chunk_apply_s = 0.0;  // written by task 0, read after the join
       stage_timer.Reset();
-      runner.ParallelFor(1 + next_size, [&](size_t task) {
+      ParallelFor(config_.threads, 1 + next_size, [&](size_t task) {
         if (task == 0) {
           Timer apply_timer;
           apply_chunk(cur, chunk_size);

@@ -35,8 +35,8 @@ struct TrainStats {
 /// which matches the objective in expectation without materializing the
 /// paper's full sample set.
 ///
-/// Execution model: each epoch is a materialize-then-apply pipeline on a
-/// ParallelRunner with `config.threads` workers. The walk-dependent part —
+/// Execution model: each epoch is a materialize-then-apply pipeline of
+/// `config.threads`-wide ParallelFor fan-outs. The walk-dependent part —
 /// the (f, f', t, κ) sample batches, where κ never depends on model
 /// parameters — is simulated by parallel workers using counter-based
 /// per-fact RNG streams and a sharded deterministic distribution cache

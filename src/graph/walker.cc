@@ -57,8 +57,7 @@ std::vector<std::vector<NodeId>> Node2VecWalker::WalksFrom(
   // own counter-based stream off that root, keyed by corpus position
   // (rep-major, matching the historical corpus layout).
   const Rng root = rng.Fork();
-  ParallelRunner runner(config_.threads);
-  runner.ParallelFor(walks.size(), [&](size_t i) {
+  ParallelFor(config_.threads, walks.size(), [&](size_t i) {
     Rng walk_rng = root.Fork(i);
     walks[i] = Walk(starts[i % starts.size()], walk_rng);
   });

@@ -11,9 +11,8 @@ namespace stedb::la {
 
 /// Rows below this count are copied serially: even a pooled fan-out costs
 /// more than a few kilobytes of memcpy. Above it, the copy fans out via
-/// RunParallelFor — the shared per-process pool for the default thread
-/// count, a dedicated runner for explicit pins — and rows are disjoint
-/// output slots, so the result is byte-identical at any thread count.
+/// ParallelFor over the process pool, and rows are disjoint output slots,
+/// so the result is byte-identical at any thread count.
 constexpr size_t kParallelRowBatchThreshold = 64;
 
 /// Gathers `n` rows of `dim` doubles into `out` (n x dim, validated by the
@@ -36,7 +35,7 @@ size_t GatherRows(size_t n, size_t dim, int threads, MatrixView out,
     return n;
   }
   std::atomic<size_t> first_missing(n);
-  RunParallelFor(threads, n, [&](size_t i) {
+  ParallelFor(threads, n, [&](size_t i) {
     const double* row = source(i);
     if (row == nullptr) {
       size_t cur = first_missing.load(std::memory_order_relaxed);

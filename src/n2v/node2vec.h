@@ -53,7 +53,7 @@ class Node2VecEmbedding {
   Result<la::Vector> Embed(db::FactId f) const;
 
   /// Batch read: fills `out` (facts.size() x dim()) with one embedding row
-  /// per requested fact; large batches fan out over a ParallelRunner
+  /// per requested fact; large batches fan out with ParallelFor
   /// (`config.sg.threads` wide) with byte-identical results at any thread
   /// count. NotFound when any fact has no node, InvalidArgument on a shape
   /// mismatch; `out` is unspecified after an error.

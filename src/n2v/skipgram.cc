@@ -103,9 +103,6 @@ double SkipGramModel::Train(
   const size_t schedule_total =
       std::max<size_t>(total_positions * static_cast<size_t>(epochs), 1);
 
-  // PooledRunner: the default thread count reuses the per-process shared
-  // pool across Train calls instead of spinning one up per call.
-  PooledRunner runner(config_.threads);
   std::vector<WalkRec> recs(kWalkBatch);
   std::vector<size_t> pos_base(walks.size(), 0);
   // Per-walk-slot node → overlay-slot indices, reused across batches and
@@ -141,7 +138,7 @@ double SkipGramModel::Train(
       // batch-start matrices, which no one writes during this phase). The
       // online dynamics within a walk — including the sigmoid saturation
       // that keeps repeated pairs from overshooting — are preserved. ----
-      runner.ParallelFor(batch_size, [&, d](size_t k) {
+      ParallelFor(config_.threads, batch_size, [&, d](size_t k) {
         const size_t p = batch + k;
         const std::vector<graph::NodeId>& walk = walks[order[p]];
         WalkRec& rec = recs[k];
@@ -224,8 +221,9 @@ double SkipGramModel::Train(
       // would scale the effective step by the batch's duplication factor
       // and overshoot on hub nodes. Frozen rows have zero delta by
       // construction and are skipped outright. ----
-      const size_t nshards = static_cast<size_t>(runner.threads());
-      runner.ParallelFor(nshards, [&, d](size_t shard) {
+      const size_t nshards =
+          static_cast<size_t>(ResolveThreadCount(config_.threads));
+      ParallelFor(config_.threads, nshards, [&, d](size_t shard) {
         // Touch counts for the rows this shard owns, per matrix side.
         std::unordered_map<size_t, double> in_scale, out_scale;
         for (size_t k = 0; k < batch_size; ++k) {

@@ -50,9 +50,9 @@ class SkipGramModel {
   /// noise distribution. Returns average loss of the final epoch.
   ///
   /// Execution model: walks are processed in small fixed-size mini-batches
-  /// on a `config.threads`-wide ParallelRunner. Workers first compute every
-  /// pair's residuals and center gradients against batch-start vectors
-  /// (each walk on its own counter-based RNG stream for windows and
+  /// by `config.threads`-wide ParallelFor fan-outs. Workers first compute
+  /// every pair's residuals and center gradients against batch-start
+  /// vectors (each walk on its own counter-based RNG stream for windows and
   /// negatives), then the updates are applied sharded by node id — no two
   /// workers write the same embedding row, and each row's updates run in
   /// pair order. Results are bit-identical for a fixed seed at any thread

@@ -67,7 +67,7 @@ struct ServeOptions {
 /// dedicated coalescer thread drains the queue into one
 /// ServingSession::EmbedBatch call per round — the group-commit pattern
 /// applied to reads — so N concurrent lookups cost one batched fan-out
-/// on the shared ParallelRunner pool instead of N scalar walks.
+/// on the process pool instead of N scalar walks.
 class EmbeddingService {
  public:
   /// Counters exposed by /stats (and asserted by tests). Since the obs

@@ -543,7 +543,9 @@ TEST(ServingSimilarTest, ExactPathAgreesWithApproxOnTopHitsAndIsForced) {
   // Exact is the oracle; a hit both paths return carries the same bits.
   for (const auto& a : approx_hits.value()) {
     for (const auto& e : exact_hits.value()) {
-      if (a.fact == e.fact) EXPECT_EQ(Bits(a.score), Bits(e.score));
+      if (a.fact == e.fact) {
+        EXPECT_EQ(Bits(a.score), Bits(e.score));
+      }
     }
   }
 }

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -41,23 +43,21 @@ class ParallelForTest : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ParallelRunner runner(GetParam());
   constexpr size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h = 0;
-  runner.ParallelFor(kN, [&](size_t i) { hits[i].fetch_add(1); });
+  ParallelFor(GetParam(), kN, [&](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
 TEST_P(ParallelForTest, EmptyAndSingleRanges) {
-  ParallelRunner runner(GetParam());
   int calls = 0;
-  runner.ParallelFor(0, [&](size_t) { ++calls; });
+  ParallelFor(GetParam(), 0, [&](size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   std::atomic<int> one{0};
-  runner.ParallelFor(1, [&](size_t i) {
+  ParallelFor(GetParam(), 1, [&](size_t i) {
     EXPECT_EQ(i, 0u);
     one.fetch_add(1);
   });
@@ -65,24 +65,20 @@ TEST_P(ParallelForTest, EmptyAndSingleRanges) {
 }
 
 TEST_P(ParallelForTest, ExceptionsPropagate) {
-  ParallelRunner runner(GetParam());
-  EXPECT_THROW(
-      runner.ParallelFor(64,
-                         [&](size_t i) {
-                           if (i == 13) throw std::runtime_error("boom");
-                         }),
-      std::runtime_error);
-  // The runner survives a throwing job.
+  auto throw_at_13 = [](size_t i) {
+    if (i == 13) throw std::runtime_error("boom");
+  };
+  EXPECT_THROW(ParallelFor(GetParam(), 64, throw_at_13), std::runtime_error);
+  // The pool survives a throwing job.
   std::atomic<int> count{0};
-  runner.ParallelFor(8, [&](size_t) { count.fetch_add(1); });
+  ParallelFor(GetParam(), 8, [&](size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);
 }
 
 TEST_P(ParallelForTest, ReusableAcrossManyJobs) {
-  ParallelRunner runner(GetParam());
   std::atomic<long> total{0};
   for (int job = 0; job < 50; ++job) {
-    runner.ParallelFor(20, [&](size_t i) {
+    ParallelFor(GetParam(), 20, [&](size_t i) {
       total.fetch_add(static_cast<long>(i));
     });
   }
@@ -92,86 +88,123 @@ TEST_P(ParallelForTest, ReusableAcrossManyJobs) {
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelForTest,
                          ::testing::Values(1, 2, 4, 7));
 
-TEST(ShardedReduceTest, MatchesSerialSum) {
-  unsetenv("STEDB_THREADS");
-  std::vector<double> values(257);
-  Rng rng(3);
-  for (double& v : values) v = rng.NextDouble();
-  const double serial = std::accumulate(values.begin(), values.end(), 0.0);
-  ParallelRunner runner(4);
-  const double parallel = runner.ShardedReduce(
-      values.size(), 16, 0.0,
-      [&](size_t begin, size_t end) {
-        double acc = 0.0;
-        for (size_t i = begin; i < end; ++i) acc += values[i];
-        return acc;
-      },
-      [](double a, double b) { return a + b; });
-  EXPECT_NEAR(parallel, serial, 1e-9);
+// The process pool is shared by every caller: the cases below drive it
+// from several threads at once and from inside running bodies.
+class SharedPoolTest : public ::testing::Test {
+ protected:
+  void SetUp() override { unsetenv("STEDB_THREADS"); }
+  void TearDown() override { unsetenv("STEDB_THREADS"); }
+};
+
+// First of its suite, so no earlier case in this binary has grown the
+// pool: the pin itself must start the helpers.
+TEST_F(SharedPoolTest, PinGetsHelpersWhenTheDefaultIsOne) {
+  setenv("STEDB_THREADS", "1", 1);
+  ASSERT_EQ(ResolveThreadCount(0), 1);
+  // Every body waits (bounded) until a second thread has joined, so a
+  // pin that got no helper shows up as a single thread id.
+  constexpr size_t kN = 4;
+  std::vector<std::thread::id> ran_on(kN);
+  std::atomic<int> arrived{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  ParallelFor(4, kN, [&](size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    arrived.fetch_add(1);
+    while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_GE(std::set<std::thread::id>(ran_on.begin(), ran_on.end()).size(),
+            2u);
 }
 
-TEST(ShardedReduceTest, BitIdenticalAcrossThreadCounts) {
-  unsetenv("STEDB_THREADS");
-  std::vector<double> values(1001);
-  Rng rng(4);
-  for (double& v : values) v = rng.NextGaussian();
-  auto reduce = [&](int threads) {
-    ParallelRunner runner(threads);
-    // Shard count fixed by the caller: the floating-point combination
-    // order — and therefore the bits — must not change with the pool size.
-    return runner.ShardedReduce(
-        values.size(), 32, 0.0,
-        [&](size_t begin, size_t end) {
-          double acc = 0.0;
-          for (size_t i = begin; i < end; ++i) acc += values[i];
-          return acc;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  const double at1 = reduce(1);
-  const double at4 = reduce(4);
-  EXPECT_EQ(at1, at4);  // exact, not NEAR
+TEST_F(SharedPoolTest, ConcurrentCallersCoverTheirOwnIndices) {
+  constexpr int kCallers = 8;
+  constexpr int kRounds = 20;
+  constexpr size_t kN = 257;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::atomic<int>> hits(kN);
+        for (auto& h : hits) h = 0;
+        ParallelFor(4, kN, [&](size_t i) { hits[i].fetch_add(1); });
+        for (const auto& h : hits) {
+          if (h.load() != 1) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
-TEST(PooledRunnerTest, PinnedRunsEveryIndex) {
-  PooledRunner runner(3);
-  EXPECT_EQ(runner.threads(), 3);
-  std::vector<std::atomic<int>> hits(100);
-  runner.ParallelFor(hits.size(),
-                     [&](size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(PooledRunnerTest, DefaultRunsEveryIndexAcrossManyCalls) {
-  // threads == 0 routes through the shared pool (or its busy fallback);
-  // repeated calls on one handle must each cover the full index space.
-  PooledRunner runner(0);
-  EXPECT_GE(runner.threads(), 1);
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::atomic<int>> hits(64);
-    runner.ParallelFor(hits.size(),
-                       [&](size_t i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST_F(SharedPoolTest, NestedFanOutsComplete) {
+  constexpr size_t kWidth = 4;
+  std::vector<std::atomic<int>> leaves(kWidth * kWidth * kWidth);
+  for (auto& l : leaves) l = 0;
+  ParallelFor(4, kWidth, [&](size_t i) {
+    ParallelFor(4, kWidth, [&](size_t j) {
+      ParallelFor(4, kWidth, [&](size_t k) {
+        leaves[(i * kWidth + j) * kWidth + k].fetch_add(1);
+      });
+    });
+  });
+  for (size_t l = 0; l < leaves.size(); ++l) {
+    EXPECT_EQ(leaves[l].load(), 1) << "leaf " << l;
   }
 }
 
-TEST(PooledRunnerTest, WorksNestedInsideSharedFanout) {
-  // A PooledRunner used from inside a shared-pool fan-out must not
-  // re-enter the shared runner; TrySharedParallelFor refuses and the
-  // handle falls back to its own pool.
-  std::atomic<int> total{0};
-  RunParallelFor(0, 4, [&](size_t) {
-    PooledRunner inner(0);
-    inner.ParallelFor(8, [&](size_t) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), 32);
+TEST_F(SharedPoolTest, PeakConcurrencyStaysWithinPin) {
+  ParallelFor(8, 8, [](size_t) {});  // grow the pool past the pins below
+  for (int pin : {2, 4}) {
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    ParallelFor(pin, 64, [&](size_t) {
+      const int now = running.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      running.fetch_sub(1);
+    });
+    EXPECT_GE(peak.load(), 1);
+    EXPECT_LE(peak.load(), pin);
+  }
 }
 
-TEST(TrySharedParallelForTest, RefusesWhenNested) {
-  bool outer_ran = TrySharedParallelFor(2, [&](size_t) {
-    EXPECT_FALSE(TrySharedParallelFor(2, [](size_t) {}));
+TEST_F(SharedPoolTest, ExceptionStaysWithItsCaller) {
+  constexpr int kRounds = 50;
+  std::atomic<int> thrower_misses{0};
+  std::atomic<int> clean_errors{0};
+  std::thread thrower([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      try {
+        ParallelFor(4, 64, [](size_t i) {
+          if (i == 13) throw std::runtime_error("boom");
+        });
+        thrower_misses.fetch_add(1);
+      } catch (const std::runtime_error&) {
+      }
+    }
   });
-  EXPECT_TRUE(outer_ran);
+  std::thread clean([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      std::atomic<int> count{0};
+      try {
+        ParallelFor(4, 64, [&](size_t) { count.fetch_add(1); });
+      } catch (...) {
+        clean_errors.fetch_add(1);
+      }
+      if (count.load() != 64) clean_errors.fetch_add(1);
+    }
+  });
+  thrower.join();
+  clean.join();
+  EXPECT_EQ(thrower_misses.load(), 0);
+  EXPECT_EQ(clean_errors.load(), 0);
 }
 
 TEST(RngForkStreamTest, StreamsAreDisjoint) {
