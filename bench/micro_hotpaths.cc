@@ -211,6 +211,38 @@ void BM_KernelBilinear(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelBilinear)->Arg(16)->Arg(64)->Arg(128)->Arg(512);
 
+// /topk's per-request scan over a 2x10^4 x 32 row-major store with one ψ:
+// Arg 0 scores every row with BilinearForm (d row dots per candidate);
+// Arg 1 projects u = ψᵀx once and scores every row with one Dot, as
+// ServingSession::TopK does.
+void BM_TopKScan(benchmark::State& state) {
+  constexpr size_t kRows = 20'000, d = 32;
+  const bool projected = state.range(0) == 1;
+  Rng rng(17);
+  la::Matrix store = la::Matrix::RandomGaussian(kRows, d, 1.0, rng);
+  la::Matrix psi = la::Matrix::RandomGaussian(d, d, 1.0, rng);
+  la::Vector x = la::RandomVector(d, 1.0, rng);
+  la::Vector u(d);
+  for (auto _ : state) {
+    double best = 0.0;
+    if (projected) {
+      la::LeftProject(x.data(), psi.data().data(), d, d, u.data());
+      for (size_t r = 0; r < kRows; ++r) {
+        best = std::max(best, la::Dot(u.data(), store.RowPtr(r), d));
+      }
+    } else {
+      for (size_t r = 0; r < kRows; ++r) {
+        best = std::max(best, la::BilinearForm(x.data(), psi.data().data(),
+                                               store.RowPtr(r), d, d));
+      }
+    }
+    benchmark::DoNotOptimize(best);
+  }
+  state.SetLabel(std::string(projected ? "projection+dot " : "bilinear ") +
+                 la::ActiveSimdPathName());
+}
+BENCHMARK(BM_TopKScan)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 void BM_KernelGather(benchmark::State& state) {
   const size_t d = state.range(0);
   constexpr size_t kRows = 256;

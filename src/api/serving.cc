@@ -9,6 +9,7 @@
 #include <cstring>
 #include <utility>
 
+#include "src/la/kernels.h"
 #include "src/la/row_batch.h"
 #include "src/ml/topk.h"
 #include "src/obs/metrics.h"
@@ -274,8 +275,7 @@ Result<Span<const double>> ServingSession::Embed(db::FactId f) const {
   return v;
 }
 
-Result<double> ServingSession::Score(db::FactId f, db::FactId g,
-                                     size_t target) const {
+Result<Span<const double>> ServingSession::Psi(size_t target) const {
   if (snapshot_.num_psi() == 0) {
     return Status::FailedPrecondition(
         "serving: snapshot carries no psi sections; scoring needs a "
@@ -287,35 +287,41 @@ Result<double> ServingSession::Score(db::FactId f, db::FactId g,
         "serving: psi target " + std::to_string(target) + " out of range (" +
         std::to_string(snapshot_.num_psi()) + " available)");
   }
+  return psi;
+}
+
+Result<double> ServingSession::Score(db::FactId f, db::FactId g,
+                                     size_t target) const {
+  STEDB_ASSIGN_OR_RETURN(Span<const double> psi, Psi(target));
   STEDB_ASSIGN_OR_RETURN(Span<const double> phi_f, Embed(f));
   STEDB_ASSIGN_OR_RETURN(Span<const double> phi_g, Embed(g));
-  return la::BilinearForm(phi_f, psi, phi_g);
+  std::vector<double> u(dim());
+  la::LeftProject(phi_f.data(), psi.data(), dim(), dim(), u.data());
+  return la::Dot(u.data(), phi_g.data(), dim());
 }
 
 Result<std::vector<ServingSession::Scored>> ServingSession::TopK(
     db::FactId query, size_t k, size_t target) const {
-  if (snapshot_.num_psi() == 0) {
-    return Status::FailedPrecondition(
-        "serving: snapshot carries no psi sections; scoring needs a "
-        "method that persists them (FoRWaRD)");
-  }
-  Span<const double> psi = snapshot_.psi(target);
-  if (psi.empty()) {
-    return Status::InvalidArgument(
-        "serving: psi target " + std::to_string(target) + " out of range (" +
-        std::to_string(snapshot_.num_psi()) + " available)");
-  }
+  STEDB_ASSIGN_OR_RETURN(Span<const double> psi, Psi(target));
   STEDB_ASSIGN_OR_RETURN(Span<const double> phi_q, Embed(query));
-
-  // Exhaustive φᵀψφ scan over every served fact — the bilinear scorer
-  // cannot use the vector-space ANN index (SimilarTopK can). Bounded
-  // k-element selection instead of materializing + sorting all n scores;
-  // descending score with ascending fact id on ties, so the result is
-  // deterministic for equal stores.
+  // ψᵀφ(q) does not depend on the candidate: project once, then each
+  // candidate costs one dot. The bilinear score cannot use the
+  // vector-space ANN index (SimilarTopK can), so the scan is exhaustive;
+  // the heap's (score desc, fact id asc) order makes the result
+  // independent of scan order.
+  const size_t d = dim();
+  std::vector<double> u(d);
+  la::LeftProject(phi_q.data(), psi.data(), d, d, u.data());
   ml::TopKHeap<Scored> heap(k);
-  for (db::FactId g : ServedFacts()) {
-    // Embed cannot fail here: ServedFacts enumerates only served ids.
-    heap.Push({g, la::BilinearForm(phi_q, psi, Embed(g).value())});
+  for (size_t i = 0; i < snapshot_.num_embedded(); ++i) {
+    const db::FactId g = snapshot_.fact_at(i);
+    // A journal record for g supersedes its snapshot row; it is scored
+    // with the overlay below.
+    if (overlay_overrides_ > 0 && overlay_.count(g) != 0) continue;
+    heap.Push({g, la::Dot(u.data(), snapshot_.phi_at(i).data(), d)});
+  }
+  for (const auto& [g, row] : overlay_) {
+    heap.Push({g, la::Dot(u.data(), overlay_data_.data() + row * d, d)});
   }
   return std::move(heap).Take();
 }

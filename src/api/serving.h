@@ -88,9 +88,10 @@ class ServingSession {
 
   /// φ(f)ᵀ ψ(t) φ(g) — the model's similarity prediction (paper Eq. 3
   /// LHS), computed straight off the mapping via the zero-copy ψ
-  /// accessors. Bit-equal to the trainer-side fwd::ForwardModel::Score
-  /// for the same store (same la::BilinearForm core, same bytes —
-  /// asserted in tests/serving_test.cc). NotFound for an unknown fact,
+  /// accessors as Dot(u, φ(g)) with u = ψᵀφ(f) from la::LeftProject.
+  /// Bit-equal to the trainer-side fwd::ForwardModel::Score for the same
+  /// store (same formula, same bytes — asserted in
+  /// tests/serving_test.cc). NotFound for an unknown fact,
   /// FailedPrecondition when the snapshot carries no ψ sections (e.g.
   /// Node2Vec), InvalidArgument for a ψ index out of range.
   Result<double> Score(db::FactId f, db::FactId g, size_t target) const;
@@ -105,6 +106,11 @@ class ServingSession {
   /// by score with ascending fact id as the deterministic tie-break. The
   /// query fact itself is included when served (callers filter). Same
   /// error cases as Score.
+  ///
+  /// An exact serial scan: u = ψᵀφ(query) is projected once, then every
+  /// snapshot row is scored in place with one la::Dot (rows a journal
+  /// record shadows are skipped), then every journal row. Each score is
+  /// the double Score(query, g, target) returns, on every SIMD path.
   Result<std::vector<Scored>> TopK(db::FactId query, size_t k,
                                    size_t target) const;
 
@@ -144,8 +150,8 @@ class ServingSession {
       db::FactId exclude = db::kNoFact) const;
 
   /// Every served fact id, ascending (snapshot residents + journal tail,
-  /// deduplicated). Allocates; meant for enumeration endpoints and the
-  /// top-k scan, not the per-lookup hot path.
+  /// deduplicated). Allocates; meant for enumeration endpoints, not the
+  /// per-lookup hot path.
   std::vector<db::FactId> ServedFacts() const;
 
   /// Tails the journal: applies every extension record that became durable
@@ -180,6 +186,9 @@ class ServingSession {
   Result<bool> JournalCurrent() const;
   /// Installs one journal record into the overlay (insert or overwrite).
   void ApplyRecord(const store::WalRecord& rec);
+  /// ψ(target) off the mapping; FailedPrecondition when the snapshot
+  /// carries no ψ sections, InvalidArgument when target is out of range.
+  Result<Span<const double>> Psi(size_t target) const;
   /// Snapshot-file identity (inode, size) used to detect compaction.
   static Status SnapshotIdentity(const std::string& dir, uint64_t* inode,
                                  uint64_t* size);
@@ -203,7 +212,9 @@ class ServingSession {
   ann::HnswView ann_view_;
   /// Overlay entries that shadow a snapshot-resident fact (the journal
   /// overwrote an indexed vector). The ANN search widens its result set
-  /// by this count so dropping the stale graph hits cannot starve k.
+  /// by this count so dropping the stale graph hits cannot starve k, and
+  /// TopK's snapshot scan looks rows up in the overlay only when it is
+  /// nonzero.
   size_t overlay_overrides_ = 0;
   bool reopened_ = false;
 };

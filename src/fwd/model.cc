@@ -44,7 +44,9 @@ void ForwardModel::InitPsi(double stddev, Rng& rng) {
 }
 
 double ForwardModel::Score(db::FactId f, db::FactId g, size_t target) const {
-  return la::BilinearForm(phi_.at(f), psi_[target], phi_.at(g));
+  // Dot(ψᵀφ(f), φ(g)) through la::LeftProject: the formula the serving
+  // scorers use, so a served score is bit-equal to this one.
+  return la::Dot(psi_[target].TransposeMultiplyVec(phi_.at(f)), phi_.at(g));
 }
 
 }  // namespace stedb::fwd

@@ -1,5 +1,6 @@
 #include "src/la/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -69,12 +70,8 @@ Vector Matrix::MultiplyVec(const Vector& v) const {
 }
 
 Vector Matrix::TransposeMultiplyVec(const Vector& v) const {
-  Vector out(cols_, 0.0);
-  for (size_t i = 0; i < rows_; ++i) {
-    const double vi = v[i];
-    if (vi == 0.0) continue;
-    Axpy(vi, RowPtr(i), out.data(), cols_);
-  }
+  Vector out(cols_);
+  LeftProject(v.data(), data_.data(), rows_, cols_, out.data());
   return out;
 }
 
@@ -146,6 +143,15 @@ Vector RandomVector(size_t n, double stddev, Rng& rng) {
 double BilinearForm(Span<const double> x, Span<const double> m,
                     Span<const double> y) {
   return BilinearForm(x.data(), m.data(), y.data(), x.size(), y.size());
+}
+
+void LeftProject(const double* x, const double* m, size_t rows, size_t cols,
+                 double* out) {
+  std::fill(out, out + cols, 0.0);
+  for (size_t i = 0; i < rows; ++i) {
+    if (x[i] == 0.0) continue;
+    Axpy(x[i], m + i * cols, out, cols);
+  }
 }
 
 double BilinearForm(const Vector& x, const Matrix& m, const Vector& y) {

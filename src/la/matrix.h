@@ -132,10 +132,19 @@ double BilinearForm(const Vector& x, const Matrix& m, const Vector& y);
 
 /// x^T M y over raw views: `m` is a dim*dim row-major span (e.g. a ψ
 /// matrix straight off an mmap'd snapshot). Identical operation order to
-/// the Matrix overload — both call this core — so a serving-side score is
-/// bit-equal to the trainer-side one for the same bytes.
+/// the Matrix overload — both call this core.
 double BilinearForm(Span<const double> x, Span<const double> m,
                     Span<const double> y);
+
+/// out = M^T x for a rows x cols row-major m (x has rows entries, out has
+/// cols): out starts at zero and gains x[i] * (row i of m) by Axpy, rows in
+/// ascending order, rows with x[i] == 0 skipped. Each out[j] is one
+/// fixed-order chain of fused multiply-adds, so the result is bit-identical
+/// on every SIMD path. Scoring x^T M y as Dot(M^T x, y) is how every
+/// φ(f)ᵀψφ(g) scorer in this codebase runs: one projection per query, then
+/// one dot per candidate.
+void LeftProject(const double* x, const double* m, size_t rows, size_t cols,
+                 double* out);
 
 }  // namespace stedb::la
 

@@ -60,6 +60,13 @@ TEST(ForwardModelTest, ScoreMatchesBilinearForm) {
   model.set_phi(1, la::RandomVector(4, 1.0, rng));
   model.set_phi(2, la::RandomVector(4, 1.0, rng));
   const double score = model.Score(1, 2, 0);
+  // Score is Dot(ψᵀφ(1), φ(2)) through la::LeftProject, bit for bit — the
+  // formula the serving scorers share.
+  la::Vector u(4);
+  la::LeftProject(model.phi(1).data(), model.psi(0).data().data(), 4, 4,
+                  u.data());
+  EXPECT_EQ(score, la::Dot(u, model.phi(2)));
+  // The same bilinear form as la::BilinearForm, summed in another order.
   const double expected =
       la::BilinearForm(model.phi(1), model.psi(0), model.phi(2));
   EXPECT_DOUBLE_EQ(score, expected);

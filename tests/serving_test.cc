@@ -6,15 +6,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <thread>
 
 #include "src/api/serving.h"
 #include "src/fwd/codec.h"
 #include "src/fwd/forward.h"
 #include "src/fwd/trainer.h"
+#include "src/fwd/walk_scheme.h"
+#include "src/la/kernels.h"
+#include "src/ml/topk.h"
 #include "src/n2v/codec.h"
 #include "src/n2v/node2vec.h"
 #include "src/store/embedding_store.h"
@@ -464,11 +470,44 @@ TEST(ServingSessionTest, Node2VecTrainSnapshotExtendPollRoundTrip) {
 
 // ---- Serving-side scoring (φᵀψφ off the mapping) -----------------------
 
+using Ranking = std::vector<api::ServingSession::Scored>;
+
+/// ψᵀx through la::LeftProject — the projection every scorer shares.
+la::Vector Project(Span<const double> x, const la::Matrix& psi) {
+  la::Vector u(psi.cols());
+  la::LeftProject(x.data(), psi.data().data(), psi.rows(), psi.cols(),
+                  u.data());
+  return u;
+}
+
+/// A FoRWaRD model over the movie schema (walks of length 1: two targets)
+/// with `n` facts (ids 3i + 1), Gaussian φ and one Gaussian — not
+/// symmetric — ψ per target, all drawn from `seed`. A non-symmetric ψ
+/// tells ψᵀφ from ψφ.
+fwd::ForwardModel SyntheticModel(size_t n, size_t dim, uint64_t seed) {
+  const std::shared_ptr<const db::Schema> movies = testing::MovieSchema();
+  const db::Schema& schema = *movies;
+  const db::RelationId actors = schema.RelationIndex("ACTORS");
+  auto schemes = fwd::EnumerateWalkSchemes(schema, actors, 1);
+  auto targets = fwd::BuildTargets(schema, schemes, {});
+  fwd::ForwardModel model(actors, dim, std::move(schemes),
+                          std::move(targets));
+  Rng rng(seed);
+  for (size_t t = 0; t < model.targets().size(); ++t) {
+    *model.mutable_psi(t) = la::Matrix::RandomGaussian(dim, dim, 1.0, rng);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    model.set_phi(static_cast<db::FactId>(3 * i + 1),
+                  la::RandomVector(dim, 1.0, rng));
+  }
+  return model;
+}
+
 TEST(ServingScoreTest, ScoreIsBitEqualToTrainerKernel) {
   // The /topk acceptance bar: the serving-side scorer reads ψ straight
   // off the mmap'd snapshot and must produce the exact double the trainer
-  // computes in memory — same BilinearForm core, same operation order,
-  // same bytes, so equality is ==, not near.
+  // computes in memory — same LeftProject-then-Dot formula, same
+  // operation order, same bytes, so equality is ==, not near.
   fwd::ForwardModel model = TrainSmall();
   const std::string dir = FreshDir("serving_score");
   ASSERT_TRUE(fwd::CreateForwardStore(dir, model).ok());
@@ -493,7 +532,8 @@ TEST(ServingScoreTest, ScoreIsBitEqualToTrainerKernel) {
 
 TEST(ServingScoreTest, ScoreCoversWalResidentFacts) {
   // A fact that only lives in the journal tail scores against snapshot
-  // residents — the overlay feeds the same BilinearForm as the mapping.
+  // residents — the overlay feeds the same projection and dot as the
+  // mapping.
   fwd::ForwardModel model = TrainSmall();
   const std::string dir = FreshDir("serving_score_wal");
   auto created = fwd::CreateForwardStore(dir, model);
@@ -508,9 +548,9 @@ TEST(ServingScoreTest, ScoreCoversWalResidentFacts) {
   const db::FactId resident = model.all_phi().begin()->first;
   auto served = opened.value().Score(7777, resident, 0);
   ASSERT_TRUE(served.ok()) << served.status();
-  // Trainer-side reference: the identical operation on the same inputs.
+  // Trainer-side reference: the identical operations on the same inputs.
   EXPECT_EQ(served.value(),
-            la::BilinearForm(phi, model.psi(0), model.phi(resident)));
+            la::Dot(Project(phi, model.psi(0)), model.phi(resident)));
 }
 
 TEST(ServingScoreTest, TopKMatchesBruteForceAndBreaksTiesByFactId) {
@@ -547,6 +587,256 @@ TEST(ServingScoreTest, TopKMatchesBruteForceAndBreaksTiesByFactId) {
   auto all = session.TopK(query, facts.size() + 100, 0);
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all.value().size(), facts.size());
+}
+
+/// TopK over every served fact, for each target, against the brute-force
+/// ranking of Embed(g) under the same formula: each fact exactly once,
+/// same order, same doubles; k = 0 and a k-prefix cut the same list.
+void ExpectTopKMatchesBruteForce(const api::ServingSession& session,
+                                 const fwd::ForwardModel& model,
+                                 db::FactId query) {
+  const std::vector<db::FactId> served = session.ServedFacts();
+  for (size_t t = 0; t < model.targets().size(); ++t) {
+    SCOPED_TRACE("query " + std::to_string(query) + " target " +
+                 std::to_string(t));
+    const la::Vector u = Project(session.Embed(query).value(), model.psi(t));
+    Ranking expected;
+    for (db::FactId g : served) {
+      const Span<const double> v = session.Embed(g).value();
+      expected.push_back({g, la::Dot(u.data(), v.data(), u.size())});
+    }
+    std::sort(expected.begin(), expected.end(),
+              ml::HitBetter<api::ServingSession::Scored>());
+    auto all = session.TopK(query, served.size() + 3, t);
+    ASSERT_TRUE(all.ok()) << all.status();
+    ASSERT_EQ(all.value().size(), served.size());
+    std::vector<db::FactId> ranked;
+    for (const auto& hit : all.value()) ranked.push_back(hit.fact);
+    std::sort(ranked.begin(), ranked.end());
+    EXPECT_EQ(ranked, served) << "every served fact ranked exactly once";
+    for (size_t r = 0; r < expected.size(); ++r) {
+      EXPECT_EQ(all.value()[r].fact, expected[r].fact) << "rank " << r;
+      EXPECT_EQ(all.value()[r].score, expected[r].score) << "rank " << r;
+    }
+    auto top = session.TopK(query, 3, t);
+    ASSERT_TRUE(top.ok());
+    ASSERT_EQ(top.value().size(), std::min<size_t>(3, served.size()));
+    for (size_t r = 0; r < top.value().size(); ++r) {
+      EXPECT_EQ(top.value()[r].fact, expected[r].fact) << "rank " << r;
+    }
+    auto none = session.TopK(query, 0, t);
+    ASSERT_TRUE(none.ok());
+    EXPECT_TRUE(none.value().empty());
+  }
+}
+
+TEST(ServingScoreTest, TopKCoversTheJournalOverlay) {
+  // The scan reads snapshot rows in place and then the journal overlay.
+  // A journal-only fact must be ranked, and a journal record that
+  // overwrites a snapshot-resident fact must replace that row — ranked
+  // once, with its journal vector — at Open, after Poll, and after a
+  // Compact reopen folds both into the snapshot.
+  fwd::ForwardModel model = TrainSmall();
+  const size_t dim = model.dim();
+  const std::string dir = FreshDir("serving_topk_wal");
+  auto created = fwd::CreateForwardStore(dir, model);
+  ASSERT_TRUE(created.ok());
+  store::EmbeddingStore store = std::move(created).value();
+  const std::vector<db::FactId> residents = model.SortedFacts();
+  ASSERT_GE(residents.size(), 3u);
+  const db::FactId overwritten = residents[1];
+  const la::Vector rewrite = TestVector(dim, -3);
+  ASSERT_TRUE(store.Append(7777, TestVector(dim, 4)).ok());
+  ASSERT_TRUE(store.Append(overwritten, rewrite).ok());
+  ASSERT_TRUE(store.Sync().ok());
+
+  auto opened = api::ServingSession::Open(dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  api::ServingSession session = std::move(opened).value();
+  ASSERT_EQ(session.wal_records(), 2u);
+
+  const auto check = [&](const std::string& stage) {
+    SCOPED_TRACE(stage);
+    for (db::FactId query : {residents[0], db::FactId{7777}, overwritten}) {
+      ExpectTopKMatchesBruteForce(session, model, query);
+    }
+    const la::Vector u =
+        Project(session.Embed(residents[0]).value(), model.psi(0));
+    auto all = session.TopK(residents[0], session.num_embedded(), 0);
+    ASSERT_TRUE(all.ok());
+    const auto hit =
+        std::find_if(all.value().begin(), all.value().end(),
+                     [&](const auto& h) { return h.fact == overwritten; });
+    ASSERT_NE(hit, all.value().end());
+    EXPECT_EQ(hit->score, la::Dot(u, rewrite))
+        << "the overwritten fact is scored with its journal vector";
+  };
+  check("open");
+
+  // One more record of each kind, tailed by Poll.
+  ASSERT_TRUE(store.Append(7778, TestVector(dim, 5)).ok());
+  ASSERT_TRUE(store.Append(residents[2], TestVector(dim, -6)).ok());
+  ASSERT_TRUE(store.Sync().ok());
+  auto polled = session.Poll();
+  ASSERT_TRUE(polled.ok()) << polled.status();
+  EXPECT_EQ(polled.value(), 2u);
+  check("poll");
+
+  ASSERT_TRUE(store.Compact().ok());
+  ASSERT_TRUE(session.Poll().ok());
+  ASSERT_TRUE(session.reopened());
+  EXPECT_EQ(session.wal_records(), 0u);
+  check("compact");
+}
+
+TEST(ServingScoreTest, TopKIsBitIdenticalAcrossSimdPaths) {
+  // The projection is Axpy chains and each candidate one Dot, both fixed
+  // operation orders in la::kernels: every path ranks the same facts
+  // with the same doubles. d = 32 runs full 16-element blocks; the
+  // journal rows run through the overlay branch of the scan.
+  fwd::ForwardModel model = SyntheticModel(300, 32, 0x70C);
+  const std::string dir = FreshDir("serving_topk_simd");
+  auto created = fwd::CreateForwardStore(dir, model);
+  ASSERT_TRUE(created.ok());
+  store::EmbeddingStore store = std::move(created).value();
+  ASSERT_TRUE(store.Append(9001, TestVector(32, 7)).ok());
+  ASSERT_TRUE(store.Append(4, TestVector(32, -2)).ok());  // shadows fact 4
+  ASSERT_TRUE(store.Sync().ok());
+  auto opened = api::ServingSession::Open(dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  const api::ServingSession& session = opened.value();
+  const std::vector<db::FactId> served = session.ServedFacts();
+
+  testing::SimdPathGuard guard;
+  std::vector<la::SimdPath> paths = {la::SimdPath::kScalar};
+  if (testing::HasAvx2()) paths.push_back(la::SimdPath::kAvx2);
+  std::vector<std::vector<Ranking>> per_path;
+  for (la::SimdPath path : paths) {
+    la::internal::ForceSimdPathForTest(path);
+    std::vector<Ranking> lists;
+    for (size_t q = 0; q < served.size(); q += 15) {
+      for (size_t t = 0; t < session.num_psi(); ++t) {
+        auto top = session.TopK(served[q], 10, t);
+        ASSERT_TRUE(top.ok()) << top.status();
+        lists.push_back(std::move(top).value());
+      }
+    }
+    per_path.push_back(std::move(lists));
+  }
+  for (size_t p = 1; p < per_path.size(); ++p) {
+    ASSERT_EQ(per_path[p].size(), per_path[0].size());
+    for (size_t l = 0; l < per_path[0].size(); ++l) {
+      const Ranking& a = per_path[0][l];
+      const Ranking& b = per_path[p][l];
+      ASSERT_EQ(a.size(), b.size());
+      for (size_t r = 0; r < a.size(); ++r) {
+        EXPECT_EQ(a[r].fact, b[r].fact) << "list " << l << " rank " << r;
+        EXPECT_EQ(std::memcmp(&a[r].score, &b[r].score, sizeof(double)), 0)
+            << la::SimdPathName(paths[p]) << " list " << l << " rank " << r;
+      }
+    }
+  }
+}
+
+TEST(ServingScoreTest, TopKStaysWithinRoundingOfTheBilinearForm) {
+  // TopK sums φ(q)ᵀψφ(g) as Σⱼ (Σᵢ φ(q)ᵢψᵢⱼ) φ(g)ⱼ, where la::BilinearForm
+  // sums Σᵢ φ(q)ᵢ (Σⱼ ψᵢⱼφ(g)ⱼ): the same value, associated differently.
+  // Every term passes through at most 2d roundings either way, so each
+  // result lies within γ(2d)·S ≈ 2d·u·S of the exact value, with
+  // S = Σᵢⱼ|φ(q)ᵢψᵢⱼφ(g)ⱼ| and u = DBL_EPSILON / 2 the unit roundoff.
+  // The two scores thus differ by at most 2d·DBL_EPSILON·S; the test
+  // allows τ = 4d·DBL_EPSILON·S. Each rank of a sorted list moves by at
+  // most the largest score change, so where the two rankings hold
+  // different facts at a rank, their old scores lie within twice that
+  // change, i.e. within the list's largest τ.
+  struct Case {
+    std::string name;
+    fwd::ForwardModel model;
+    size_t journal_facts;  ///< random-φ facts appended to the journal
+  };
+  // TrainSmall's store holds 5 facts: 20 journal facts give it 20+
+  // queries and run the overlay half of the scan.
+  std::vector<Case> cases;
+  cases.push_back({"train_small", TrainSmall(), 20});
+  cases.push_back(
+      {"synthetic_2000x32", SyntheticModel(2000, 32, 0x5EED), 0});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = FreshDir("serving_topk_tau_" + c.name);
+    auto created = fwd::CreateForwardStore(dir, c.model);
+    ASSERT_TRUE(created.ok());
+    Rng rng(0x7A0);
+    for (size_t i = 0; i < c.journal_facts; ++i) {
+      ASSERT_TRUE(created.value()
+                      .Append(static_cast<db::FactId>(50000 + i),
+                              la::RandomVector(c.model.dim(), 1.0, rng))
+                      .ok());
+    }
+    ASSERT_TRUE(created.value().Sync().ok());
+    auto opened = api::ServingSession::Open(dir);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    const api::ServingSession& session = opened.value();
+    const std::vector<db::FactId> served = session.ServedFacts();
+    const size_t n = served.size(), dim = session.dim();
+    // 20+ queries spread over the store.
+    const size_t stride = std::max<size_t>(1, n / 24);
+    std::vector<db::FactId> queries;
+    for (size_t q = 0; q < n; q += stride) queries.push_back(served[q]);
+    ASSERT_GE(queries.size(), 20u);
+    const auto index_of = [&](db::FactId g) {
+      return static_cast<size_t>(
+          std::lower_bound(served.begin(), served.end(), g) -
+          served.begin());
+    };
+    size_t moved = 0;
+    for (size_t t = 0; t < session.num_psi(); ++t) {
+      const la::Matrix& psi = c.model.psi(t);
+      const Span<const double> psi_span(psi.data().data(), psi.size());
+      for (db::FactId q : queries) {
+        SCOPED_TRACE("query " + std::to_string(q) + " target " +
+                     std::to_string(t));
+        const Span<const double> x = session.Embed(q).value();
+        // w = |ψ|ᵀ|x|, so that S(q, g) = Σⱼ wⱼ|φ(g)ⱼ|.
+        la::Vector w(dim, 0.0);
+        for (size_t i = 0; i < dim; ++i) {
+          for (size_t j = 0; j < dim; ++j) {
+            w[j] += std::fabs(x[i]) * std::fabs(psi(i, j));
+          }
+        }
+        std::vector<double> old_score(n), tau(n);
+        Ranking old_list(n);
+        double tau_max = 0.0;
+        for (size_t g = 0; g < n; ++g) {
+          const Span<const double> y = session.Embed(served[g]).value();
+          old_score[g] = la::BilinearForm(x, psi_span, y);
+          double abs_sum = 0.0;
+          for (size_t j = 0; j < dim; ++j) abs_sum += w[j] * std::fabs(y[j]);
+          tau[g] = 4.0 * static_cast<double>(dim) * DBL_EPSILON * abs_sum;
+          tau_max = std::max(tau_max, tau[g]);
+          old_list[g] = {served[g], old_score[g]};
+        }
+        std::sort(old_list.begin(), old_list.end(),
+                  ml::HitBetter<api::ServingSession::Scored>());
+        auto fresh = session.TopK(q, n, t);
+        ASSERT_TRUE(fresh.ok()) << fresh.status();
+        const Ranking& new_list = fresh.value();
+        ASSERT_EQ(new_list.size(), n);
+        for (size_t r = 0; r < n; ++r) {
+          const size_t g = index_of(new_list[r].fact);
+          ASSERT_LT(g, n);
+          EXPECT_LE(std::fabs(new_list[r].score - old_score[g]), tau[g])
+              << "fact " << served[g];
+          if (new_list[r].fact != old_list[r].fact) {
+            EXPECT_LE(std::fabs(old_score[g] - old_list[r].score), tau_max)
+                << "rank " << r;
+          }
+          moved += new_list[r].score != old_score[g];
+        }
+      }
+    }
+    // The bound is exercised, not vacuous: some scores did move.
+    EXPECT_GT(moved, 0u);
+  }
 }
 
 TEST(ServingScoreTest, ScoreErrorCases) {

@@ -751,12 +751,15 @@ TEST(GroupCommitTest, TimeWindowForcesLaggingSync) {
   auto created = fwd::CreateForwardStore(dir, model, options);
   ASSERT_TRUE(created.ok());
   EmbeddingStore st = std::move(created).value();
+  const uint64_t base = st.fsync_count();
+  // The first append opens the window and may already find it expired.
+  // If it did not sync, the second append — a millisecond later — finds
+  // the window long expired and must. The byte window never triggers,
+  // so any sync past the baseline is the time window's.
   ASSERT_TRUE(st.Append(9000, TestVector(model.dim(), 0)).ok());
-  const uint64_t after_first = st.fsync_count();
-  // The first append opened the window; the second finds it expired (any
-  // wall-clock progress beats 1us) and must flush.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
   ASSERT_TRUE(st.Append(9001, TestVector(model.dim(), 1)).ok());
-  EXPECT_GT(st.fsync_count(), after_first);
+  EXPECT_GT(st.fsync_count(), base);
 }
 
 TEST(GroupCommitTest, KillSafetyIsUnchangedInsideTheWindow) {
