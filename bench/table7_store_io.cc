@@ -1,12 +1,10 @@
-// Persistence I/O for the embedding store (src/store/): binary snapshot
-// save/load vs. the text SaveModel/LoadModel path, the per-extension WAL
-// append cost, and the group-commit fsync batching, on a FoRWaRD model
-// trained at the configured scale.
+// Persistence I/O for the embedding store (src/store/): v2 snapshot
+// save/load through the FoRWaRD codec, the per-extension WAL append cost,
+// and the group-commit fsync batching, on a FoRWaRD model trained at the
+// configured scale.
 //
-// Shape expectations: the binary snapshot loads an order of magnitude
-// faster than parsing the text dump (no locale-independent double
-// parsing, one CRC pass); a buffered WAL append costs microseconds; and
-// group commit (StoreOptions::group_commit_bytes) cuts the fsync count of
+// Shape expectations: a buffered WAL append costs microseconds; and group
+// commit (StoreOptions::group_commit_bytes) cuts the fsync count of
 // a sync_every_append workload by the window factor while recovering the
 // identical model — the durability layer stays off the dynamic-extension
 // critical path even at power-loss-grade durability.
@@ -24,9 +22,8 @@
 #include "src/common/timer.h"
 #include "src/exp/report.h"
 #include "src/fwd/codec.h"
-#include "src/fwd/serialize.h"
 #include "src/store/embedding_store.h"
-#include "src/store/snapshot.h"
+#include "src/store/format.h"
 
 using namespace stedb;
 
@@ -49,8 +46,6 @@ struct StoreNumbers {
   std::string dataset;
   size_t vectors = 0;
   size_t dim = 0;
-  double text_save_s = 0.0;
-  double text_load_s = 0.0;
   double snap_save_s = 0.0;
   double snap_load_s = 0.0;
   double append_us = 0.0;          ///< buffered append, one fsync at the end
@@ -80,18 +75,15 @@ void EmitStoreJson(const std::vector<StoreNumbers>& rows) {
     std::fprintf(
         f,
         "%s    {\"name\": \"%s\", \"vectors\": %zu, \"dim\": %zu,\n"
-        "     \"text_save_seconds\": %.6f, \"text_load_seconds\": %.6f,\n"
         "     \"snapshot_save_seconds\": %.6f, \"snapshot_load_seconds\": "
         "%.6f,\n"
-        "     \"snapshot_vs_text_speedup\": %.2f,\n"
         "     \"append_us\": %.2f, \"synced_append_us\": %.2f,"
         " \"grouped_append_us\": %.2f,\n"
         "     \"synced_fsyncs\": %llu, \"grouped_fsyncs\": %llu,"
         " \"group_commit_fsync_reduction\": %.2f}",
         first ? "" : ",\n", r.dataset.c_str(), r.vectors, r.dim,
-        r.text_save_s, r.text_load_s, r.snap_save_s, r.snap_load_s,
-        r.snap_load_s > 0 ? r.text_load_s / r.snap_load_s : 0.0,
-        r.append_us, r.synced_append_us, r.grouped_append_us,
+        r.snap_save_s, r.snap_load_s, r.append_us, r.synced_append_us,
+        r.grouped_append_us,
         static_cast<unsigned long long>(r.synced_fsyncs),
         static_cast<unsigned long long>(r.grouped_fsyncs),
         r.grouped_fsyncs > 0
@@ -140,7 +132,7 @@ std::pair<double, uint64_t> AppendWorkload(const std::string& dir,
 int main(int argc, char** argv) {
   exp::RunScale scale = exp::ScaleFromEnv();
   exp::MethodConfig mcfg = exp::MethodConfig::ForScale(scale);
-  bench::PrintHeader("Table VII", "embedding store I/O (snapshot vs text, "
+  bench::PrintHeader("Table VII", "embedding store I/O (snapshot, "
                      "WAL append, group commit)", scale);
 
   const std::string dir =
@@ -149,9 +141,8 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(dir);
   const int reps = scale == exp::RunScale::kPaper ? 3 : 5;
 
-  exp::TableWriter table({"Task", "text load", "snap load", "speedup",
-                          "append/vec", "synced", "grouped",
-                          "fsyncs s/g"});
+  exp::TableWriter table({"Task", "snap load", "append/vec", "synced",
+                          "grouped", "fsyncs s/g"});
   std::vector<StoreNumbers> json_rows;
   bool group_commit_wins = true;
   for (const std::string& name : bench::SelectDatasets(argc, argv)) {
@@ -175,19 +166,20 @@ int main(int argc, char** argv) {
     row.vectors = model.num_embedded();
     row.dim = model.dim();
 
-    const std::string text_path = dir + "/" + name + ".txt";
     const std::string snap_path = dir + "/" + name + ".snap";
-    row.text_save_s = TimeMedian(reps, [&] {
-      if (!fwd::SaveModel(model, text_path).ok()) std::exit(1);
-    });
-    row.text_load_s = TimeMedian(reps, [&] {
-      if (!fwd::LoadModel(text_path).ok()) std::exit(1);
-    });
     row.snap_save_s = TimeMedian(reps, [&] {
-      if (!store::WriteSnapshot(model, snap_path).ok()) std::exit(1);
+      if (!store::AtomicWriteFile(snap_path,
+                                  fwd::EncodeForwardSnapshot(model))
+               .ok()) {
+        std::exit(1);
+      }
     });
     row.snap_load_s = TimeMedian(reps, [&] {
-      if (!store::ReadSnapshot(snap_path).ok()) std::exit(1);
+      std::string bytes;
+      if (!store::ReadFileToString(snap_path, &bytes).ok() ||
+          !fwd::DecodeForwardSnapshot(bytes).ok()) {
+        std::exit(1);
+      }
     });
 
     // Per-extension append cost under the three durability modes: journal
@@ -213,11 +205,7 @@ int main(int argc, char** argv) {
       group_commit_wins = false;
     }
 
-    char speedup[32], append_cell[32], synced_cell[32], grouped_cell[32],
-        fsync_cell[48];
-    std::snprintf(speedup, sizeof(speedup), "%.1fx",
-                  row.snap_load_s > 0 ? row.text_load_s / row.snap_load_s
-                                      : 0.0);
+    char append_cell[32], synced_cell[32], grouped_cell[32], fsync_cell[48];
     std::snprintf(append_cell, sizeof(append_cell), "%.1fus", row.append_us);
     std::snprintf(synced_cell, sizeof(synced_cell), "%.1fus",
                   row.synced_append_us);
@@ -226,16 +214,15 @@ int main(int argc, char** argv) {
     std::snprintf(fsync_cell, sizeof(fsync_cell), "%llu/%llu",
                   static_cast<unsigned long long>(row.synced_fsyncs),
                   static_cast<unsigned long long>(row.grouped_fsyncs));
-    table.AddRow({name, exp::SecondsCell(row.text_load_s),
-                  exp::SecondsCell(row.snap_load_s), speedup, append_cell,
+    table.AddRow({name, exp::SecondsCell(row.snap_load_s), append_cell,
                   synced_cell, grouped_cell, fsync_cell});
     json_rows.push_back(row);
     std::printf("%s done (%zu embeddings, dim %zu)\n", name.c_str(),
                 model.num_embedded(), model.dim());
   }
   std::printf("\n%s\n", table.Render().c_str());
-  std::printf("(snapshot load must beat text load; group commit %s the "
-              "per-record fsync count at equal end-of-batch durability)\n",
+  std::printf("(group commit %s the per-record fsync count at equal "
+              "end-of-batch durability)\n",
               group_commit_wins ? "beats" : "DID NOT BEAT — investigate");
   EmitStoreJson(json_rows);
   std::filesystem::remove_all(dir);

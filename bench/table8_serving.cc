@@ -5,13 +5,12 @@
 //   * EmbedBatch on the in-memory embedder (the batch read path),
 //   * api::ServingSession over an mmap'd store directory (zero-copy
 //     scalar reads + copying batch reads),
-// and how long it takes to get a cold process serving: text LoadModel vs
-// the copying binary snapshot vs the mmap open.
+// and how long it takes to get a cold process serving: the copying
+// snapshot decode vs the mmap open.
 //
 // Shape expectations: batch beats scalar (no per-fact Vector allocation),
-// mmap open beats the copying snapshot load (no parse, no per-fact
-// allocation — the acceptance bar for the serving PR), and both beat the
-// text parser by a wide margin.
+// and mmap open beats the copying snapshot load (no parse, no per-fact
+// allocation — the acceptance bar for the serving path).
 //
 // Emits BENCH_serving.json to the cwd (STEDB_BENCH_SERVING_JSON overrides
 // the path; "off" disables), uploaded as a CI artifact next to
@@ -29,9 +28,8 @@
 #include "src/exp/static_experiment.h"
 #include "src/fwd/codec.h"
 #include "src/fwd/forward.h"
-#include "src/fwd/serialize.h"
 #include "src/store/embedding_store.h"
-#include "src/store/snapshot.h"
+#include "src/store/format.h"
 
 using namespace stedb;
 
@@ -54,7 +52,6 @@ struct ServingNumbers {
   std::string dataset;
   size_t vectors = 0;
   size_t dim = 0;
-  double text_load_s = 0.0;
   double snap_load_s = 0.0;
   double mmap_open_s = 0.0;
   double scalar_ns = 0.0;      ///< per lookup, in-memory Embed
@@ -86,14 +83,13 @@ void EmitServingJson(const std::vector<ServingNumbers>& rows) {
     std::fprintf(
         f,
         "%s    {\"name\": \"%s\", \"vectors\": %zu, \"dim\": %zu,\n"
-        "     \"text_load_seconds\": %.6f, \"snapshot_load_seconds\": %.6f,"
-        " \"mmap_open_seconds\": %.6f,\n"
+        "     \"snapshot_load_seconds\": %.6f, \"mmap_open_seconds\": %.6f,\n"
         "     \"scalar_ns_per_lookup\": %.1f, \"batch_ns_per_lookup\": %.1f,"
         " \"serving_ns_per_lookup\": %.1f,"
         " \"serving_batch_ns_per_lookup\": %.1f,\n"
         "     \"mmap_vs_snapshot_speedup\": %.2f}",
         first ? "" : ",\n", r.dataset.c_str(), r.vectors, r.dim,
-        r.text_load_s, r.snap_load_s, r.mmap_open_s, r.scalar_ns,
+        r.snap_load_s, r.mmap_open_s, r.scalar_ns,
         r.batch_ns, r.serving_ns, r.serving_batch_ns,
         r.mmap_open_s > 0.0 ? r.snap_load_s / r.mmap_open_s : 0.0);
     first = false;
@@ -121,8 +117,8 @@ int main(int argc, char** argv) {
   // Enough lookups to dominate timer noise even at smoke scale.
   const size_t kLookups = 200000;
 
-  exp::TableWriter table({"Task", "text load", "snap load", "mmap open",
-                          "scalar", "batch", "mmap scalar", "mmap batch"});
+  exp::TableWriter table({"Task", "snap load", "mmap open", "scalar",
+                          "batch", "mmap scalar", "mmap batch"});
   std::vector<ServingNumbers> json_rows;
   bool mmap_beats_copy = true;
   for (const std::string& name : bench::SelectDatasets(argc, argv)) {
@@ -139,23 +135,20 @@ int main(int argc, char** argv) {
     }
     const fwd::ForwardModel& model = emb.value().model();
 
-    // A store directory (snapshot + empty WAL) plus the text dump.
+    // A store directory (snapshot + empty WAL).
     const std::string store_dir = dir + "/" + name;
     if (!fwd::CreateForwardStore(store_dir, model).ok()) std::exit(1);
-    const std::string text_path = dir + "/" + name + ".txt";
-    if (!fwd::SaveModel(model, text_path).ok()) std::exit(1);
 
     ServingNumbers row;
     row.dataset = name;
     row.vectors = model.num_embedded();
     row.dim = model.dim();
-    row.text_load_s = TimeMedian(reps, [&] {
-      if (!fwd::LoadModel(text_path).ok()) std::exit(1);
-    });
     row.snap_load_s = TimeMedian(reps, [&] {
-      if (!store::ReadSnapshot(
-               store::EmbeddingStore::SnapshotPath(store_dir))
-               .ok()) {
+      std::string bytes;
+      if (!store::ReadFileToString(
+               store::EmbeddingStore::SnapshotPath(store_dir), &bytes)
+               .ok() ||
+          !fwd::DecodeForwardSnapshot(bytes).ok()) {
         std::exit(1);
       }
     });
@@ -210,8 +203,7 @@ int main(int argc, char** argv) {
     std::snprintf(serve_c, sizeof(serve_c), "%.0fns", row.serving_ns);
     std::snprintf(serve_b, sizeof(serve_b), "%.0fns",
                   row.serving_batch_ns);
-    table.AddRow({name, exp::SecondsCell(row.text_load_s),
-                  exp::SecondsCell(row.snap_load_s),
+    table.AddRow({name, exp::SecondsCell(row.snap_load_s),
                   exp::SecondsCell(row.mmap_open_s), scalar_c, batch_c,
                   serve_c, serve_b});
     if (row.mmap_open_s >= row.snap_load_s) mmap_beats_copy = false;

@@ -1,24 +1,28 @@
 // Record-similarity search over tuple embeddings — the downstream task
 // family motivating the paper's introduction (record similarity / linking
 // / entity resolution). Trains a FoRWaRD embedding on the Genes database,
-// builds a nearest-neighbor index, and shows that a tuple's closest
-// neighbors in embedding space overwhelmingly share its (hidden) class,
-// then persists the model and reloads it.
+// persists it as a store directory, serves it with api::ServingSession and
+// shows that a tuple's closest neighbors in embedding space
+// overwhelmingly share its (hidden) class. Exits 1 when a served vector
+// differs from the trained one or the label purity is at most 25%.
 //
 //   $ ./similarity_search [k]
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <system_error>
 
+#include "src/api/serving.h"
 #include "src/data/registry.h"
+#include "src/fwd/codec.h"
 #include "src/fwd/forward.h"
-#include "src/fwd/serialize.h"
-#include "src/ml/knn.h"
 
 using namespace stedb;
 
-int main(int argc, char** argv) {
-  const size_t k = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 5;
+namespace {
 
+int Run(const std::string& dir, size_t k) {
   data::GenConfig gen;
   gen.scale = 0.2;
   gen.seed = 31;
@@ -38,25 +42,43 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "train: %s\n", emb.status().ToString().c_str());
     return 1;
   }
+  const fwd::ForwardModel& model = emb.value().model();
 
-  // One batch read for the whole index instead of a per-fact copy loop.
-  la::Matrix vectors(ds.Samples().size(), emb.value().dim());
-  Status batch = emb.value().EmbedBatch(ds.Samples(), vectors);
-  if (!batch.ok()) {
-    std::fprintf(stderr, "embed batch: %s\n", batch.ToString().c_str());
+  // Freeze the embedding into a store directory (no ANN index, so
+  // SimilarTopK is the exact cosine scan) and serve it as a reader would.
+  auto created = fwd::CreateForwardStore(dir, model);
+  if (!created.ok()) {
+    std::fprintf(stderr, "store: %s\n", created.status().ToString().c_str());
     return 1;
   }
-  ml::EmbeddingIndex index(ml::SimilarityMetric::kCosine);
-  index.AddBatch(ds.Samples(), vectors);
-  std::printf("indexed %zu gene embeddings (dim %zu)\n\n", index.size(),
-              emb.value().dim());
+  auto opened = api::ServingSession::Open(dir);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "open: %s\n", opened.status().ToString().c_str());
+    return 1;
+  }
+  const api::ServingSession& session = opened.value();
 
-  // How often do a tuple's top-k neighbors share its class? (The index
+  size_t differing = 0;
+  for (db::FactId f : session.ServedFacts()) {
+    const Span<const double> served = session.Embed(f).value();
+    const la::Vector* trained = model.FindPhi(f);
+    if (trained == nullptr || trained->size() != served.size() ||
+        std::memcmp(trained->data(), served.data(),
+                    served.size() * sizeof(double)) != 0) {
+      ++differing;
+    }
+  }
+  if (session.num_embedded() != model.num_embedded()) ++differing;
+  std::printf("served %zu gene embeddings (dim %zu) from %s; %zu differ "
+              "from the trained model\n\n",
+              session.num_embedded(), session.dim(), dir.c_str(), differing);
+
+  // How often do a tuple's top-k neighbors share its class? (The search
   // never saw the labels.)
   size_t same = 0, total = 0;
   for (db::FactId f : ds.Samples()) {
-    auto neighbors = index.TopKOf(f, k).value();
-    for (const ml::Neighbor& n : neighbors) {
+    const auto hits = session.SimilarTopK(f, k).value();
+    for (const auto& n : hits) {
       ++total;
       if (ds.LabelOf(n.fact) == ds.LabelOf(f)) ++same;
     }
@@ -73,30 +95,25 @@ int main(int argc, char** argv) {
   std::printf("query %s (localization %s):\n",
               ds.database.value(query, 0).ToString().c_str(),
               ds.LabelOf(query).c_str());
-  const std::vector<ml::Neighbor> query_hits =
-      index.TopKOf(query, k).value();
-  for (const ml::Neighbor& n : query_hits) {
+  const auto query_hits = session.SimilarTopK(query, k).value();
+  for (const auto& n : query_hits) {
     std::printf("  %-8s sim=%.3f  localization=%s\n",
                 ds.database.value(n.fact, 0).ToString().c_str(), n.score,
                 ds.LabelOf(n.fact).c_str());
   }
+  return differing == 0 && purity > 25.0 ? 0 : 1;
+}
 
-  // Persist and reload the trained model (vectors must round-trip).
-  const std::string path = "/tmp/stedb_genes.fwdmodel";
-  Status st = fwd::SaveModel(emb.value().model(), path);
-  if (!st.ok()) {
-    std::fprintf(stderr, "save: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  auto loaded = fwd::LoadModel(path);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "load: %s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  const la::Vector a = emb.value().Embed(query).value();
-  const la::Vector b = loaded.value().Embed(query).value();
-  std::printf("\nmodel round trip via %s: %zu vectors, max coord diff %g\n",
-              path.c_str(), loaded.value().num_embedded(),
-              la::Distance(a, b));
-  return purity > 25.0 ? 0 : 1;
+}  // namespace
+
+int main(int argc, char** argv) {
+  const size_t k = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 5;
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "stedb_similarity_search")
+          .string();
+  std::filesystem::remove_all(dir);
+  const int rc = Run(dir, k);
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
+  return rc;
 }

@@ -13,9 +13,8 @@
 namespace stedb::ann {
 
 /// Deterministic HNSW (hierarchical navigable small world) index over the
-/// snapshot's φ vectors — the sublinear counterpart to the brute-force
-/// scans in ml::EmbeddingIndex / api::ServingSession. Two halves, one
-/// byte format:
+/// snapshot's φ vectors — the sublinear counterpart to the exact scan in
+/// api::ServingSession::SimilarTopK. Two halves, one byte format:
 ///
 ///  * BuildHnsw() constructs the graph and serializes it to a flat,
 ///    position-independent payload (the 'ANN ' snapshot section).
@@ -90,7 +89,7 @@ struct VectorSource {
 };
 
 /// One search hit: node index (= PHI record index) + similarity score
-/// (higher = closer for every metric, matching ml::Neighbor semantics).
+/// (higher = closer for every metric; Euclidean is the negated distance).
 struct ScoredNode {
   double score = 0.0;
   uint32_t node = 0;

@@ -12,7 +12,6 @@
 #include "src/fwd/codec.h"
 #include "src/n2v/codec.h"
 #include "src/store/embedding_store.h"
-#include "src/store/snapshot.h"
 #include "src/store/stored_model.h"
 
 namespace stedb::api {
@@ -79,8 +78,8 @@ class ForwardMethod : public Embedder {
     // process would and diff against the live model.
     auto reopened = store::EmbeddingStore::Open(store_->dir());
     if (!reopened.ok()) return reopened.status();
-    return store::ModelMaxAbsDiff(reopened.value().model(),
-                                  embedder_->model());
+    return fwd::ModelMaxAbsDiff(reopened.value().model(),
+                                embedder_->model());
   }
 
   std::string Name() const override { return "FoRWaRD"; }

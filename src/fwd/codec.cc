@@ -1,6 +1,7 @@
 #include "src/fwd/codec.h"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 namespace stedb::fwd {
@@ -155,6 +156,54 @@ void ForwardStoredModel::ForEachPhi(
 const ForwardModel* AsForwardModel(const store::StoredModel& model) {
   const auto* fwd = dynamic_cast<const ForwardStoredModel*>(&model);
   return fwd == nullptr ? nullptr : &fwd->model();
+}
+
+double ModelMaxAbsDiff(const ForwardModel& a, const ForwardModel& b) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (a.relation() != b.relation() || a.dim() != b.dim() ||
+      !(a.schemes() == b.schemes()) ||
+      a.targets().size() != b.targets().size() ||
+      a.num_embedded() != b.num_embedded()) {
+    return kInf;
+  }
+  for (size_t t = 0; t < a.targets().size(); ++t) {
+    if (a.targets()[t].scheme_index != b.targets()[t].scheme_index ||
+        a.targets()[t].attr != b.targets()[t].attr) {
+      return kInf;
+    }
+  }
+  double worst = 0.0;
+  for (size_t t = 0; t < a.targets().size(); ++t) {
+    const la::Matrix& ma = a.psi(t);
+    const la::Matrix& mb = b.psi(t);
+    if (ma.rows() != mb.rows() || ma.cols() != mb.cols()) return kInf;
+    for (size_t i = 0; i < ma.size(); ++i) {
+      worst =
+          std::max(worst, store::AbsDiffOrInf(ma.data()[i], mb.data()[i]));
+    }
+  }
+  for (const auto& [f, va] : a.all_phi()) {
+    if (!b.HasEmbedding(f)) return kInf;
+    const la::Vector& vb = b.phi(f);
+    if (va.size() != vb.size()) return kInf;
+    for (size_t i = 0; i < va.size(); ++i) {
+      worst = std::max(worst, store::AbsDiffOrInf(va[i], vb[i]));
+    }
+  }
+  return worst;
+}
+
+double ModelMaxAbsDiff(const store::StoredModel& a, const ForwardModel& b) {
+  const ForwardModel* fa = AsForwardModel(a);
+  if (fa == nullptr) return std::numeric_limits<double>::infinity();
+  return ModelMaxAbsDiff(*fa, b);
+}
+
+double ModelMaxAbsDiff(const store::StoredModel& a,
+                       const store::StoredModel& b) {
+  const ForwardModel* fb = AsForwardModel(b);
+  if (fb == nullptr) return std::numeric_limits<double>::infinity();
+  return ModelMaxAbsDiff(a, *fb);
 }
 
 std::string EncodeForwardSnapshot(const ForwardModel& model) {

@@ -48,6 +48,22 @@ class ForwardStoredModel : public store::StoredModel {
 /// is not FoRWaRD's (e.g. a Node2Vec store opened generically).
 const ForwardModel* AsForwardModel(const store::StoredModel& model);
 
+/// Largest absolute entry-wise deviation between two models' ψ matrices
+/// and φ vectors; +inf on any structural mismatch (relation, dim, schemes,
+/// targets, or embedded-fact sets differ). 0.0 means bit-exact agreement —
+/// the recovery acceptance criterion. NaNs compare by representation: a
+/// bit-identical NaN contributes 0, a NaN-valued difference reports +inf.
+double ModelMaxAbsDiff(const ForwardModel& a, const ForwardModel& b);
+
+/// Same, with one or both sides behind the store's generic model handle
+/// (as EmbeddingStore::model() returns it). When every generic side is a
+/// FoRWaRD stored model the full ψ-aware diff runs; models of any other
+/// method are +inf by definition (structural mismatch — use
+/// store::StoredModelMaxAbsDiff for the method-agnostic φ-only comparison).
+double ModelMaxAbsDiff(const store::StoredModel& a, const ForwardModel& b);
+double ModelMaxAbsDiff(const store::StoredModel& a,
+                       const store::StoredModel& b);
+
 /// The FoRWaRD model codec: sections META (relation, dim, walk schemes,
 /// targets), PSI (the learned ψ matrices, standard layout) and PHI (the
 /// standard embeddings payload). Extracted from the PR 3 fwd-only
@@ -63,8 +79,10 @@ class ForwardModelCodec : public store::ModelCodec {
       const store::ParsedSnapshot& snapshot) const override;
 };
 
-/// Typed encode/decode used by the codec and the store::snapshot.h
-/// compatibility wrappers.
+/// Typed encode/decode: the v2 snapshot bytes of a ForwardModel. Equal
+/// models encode to byte-identical buffers; decoding verifies magic,
+/// container version, method tag, structure and per-section CRCs. Files go
+/// through store::AtomicWriteFile / store::ReadFileToString.
 std::string EncodeForwardSnapshot(const ForwardModel& model);
 Result<ForwardModel> DecodeForwardSnapshot(const std::string& bytes);
 

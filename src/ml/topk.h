@@ -9,8 +9,7 @@ namespace stedb::ml {
 
 /// The deterministic hit order every top-k surface in this codebase uses:
 /// descending score, ascending fact id on ties. Works for any hit type
-/// with `.score` and `.fact` members (ml::Neighbor,
-/// api::ServingSession::Scored).
+/// with `.score` and `.fact` members (api::ServingSession::Scored).
 template <typename Hit>
 struct HitBetter {
   bool operator()(const Hit& a, const Hit& b) const {

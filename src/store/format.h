@@ -22,7 +22,7 @@ namespace stedb::store {
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 /// Hard ceiling on a persisted embedding dimension, shared by every model
-/// parser (binary snapshot, WAL, text serializer). Keeps a corrupted
+/// parser (binary snapshot, WAL). Keeps a corrupted
 /// header field from turning a `dim*dim` allocation into a multi-gigabyte
 /// bomb before any truncation/CRC check can fire; paper-scale is d = 100.
 constexpr size_t kMaxEmbeddingDim = 4096;

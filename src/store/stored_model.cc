@@ -6,17 +6,12 @@
 #include <limits>
 
 namespace stedb::store {
-namespace {
 
-/// Bit-representation-aware deviation (see header): identical bits are 0,
-/// a NaN-valued difference is +inf rather than vanishing inside std::max.
 double AbsDiffOrInf(double x, double y) {
   if (std::memcmp(&x, &y, sizeof(double)) == 0) return 0.0;
   const double d = std::abs(x - y);
   return std::isnan(d) ? std::numeric_limits<double>::infinity() : d;
 }
-
-}  // namespace
 
 double StoredModelMaxAbsDiff(const StoredModel& a, const StoredModel& b) {
   constexpr double kInf = std::numeric_limits<double>::infinity();

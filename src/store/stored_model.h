@@ -70,6 +70,12 @@ class VectorSetModel : public StoredModel {
   std::map<db::FactId, la::Vector> phi_;
 };
 
+/// |x − y| for one component of a recovery diff, comparing NaNs by
+/// representation: bit-identical values (NaNs included) give 0, and a
+/// NaN-valued difference gives +inf instead of vanishing inside std::max
+/// (where NaN comparisons are always false).
+double AbsDiffOrInf(double x, double y);
+
 /// Largest absolute entry-wise deviation between two models' embedding
 /// maps; +inf on any structural mismatch (dim, relation, or embedded-fact
 /// sets differ). 0.0 means bit-exact agreement — the generic recovery

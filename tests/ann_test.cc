@@ -193,6 +193,12 @@ TEST(HnswRecallTest, HitsCarryScoresBitEqualToTheExactOracle) {
        view.value().Search(query, k, 64, vectors)) {
     EXPECT_EQ(Bits(h.score), Bits(by_node[h.node])) << "node " << h.node;
   }
+  // And the exact scan's cosine is bit-equal to the la reference.
+  const la::Vector q = RowVector(data, dim, 17);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(Bits(by_node[i]),
+              Bits(la::CosineSimilarity(q, RowVector(data, dim, i))));
+  }
 }
 
 // ---- Build determinism -------------------------------------------------
@@ -521,6 +527,21 @@ TEST(ServingSimilarTest, FactOverloadExcludesTheQueryFact) {
   EXPECT_EQ(
       session.value().SimilarTopK(db::FactId{424242}, 5).status().code(),
       StatusCode::kNotFound);
+
+  // k past the served count returns every other served fact exactly once,
+  // through the index and on the exact path alike.
+  api::SimilarOptions exact;
+  exact.approx = false;
+  for (const api::SimilarOptions& options : {api::SimilarOptions(), exact}) {
+    auto all = session.value().SimilarTopK(db::FactId{100}, n + 5, options);
+    ASSERT_TRUE(all.ok()) << all.status();
+    std::set<db::FactId> facts;
+    for (const auto& h : all.value()) facts.insert(h.fact);
+    EXPECT_EQ(all.value().size(), n - 1) << "approx=" << options.approx;
+    ASSERT_EQ(facts.size(), n - 1) << "approx=" << options.approx;
+    EXPECT_EQ(*facts.begin(), 101);
+    EXPECT_EQ(*facts.rbegin(), static_cast<db::FactId>(100 + n - 1));
+  }
 }
 
 TEST(ServingSimilarTest, ExactPathAgreesWithApproxOnTopHitsAndIsForced) {
@@ -612,6 +633,25 @@ TEST(ServingSimilarTest, WalFactsAreVisibleAfterPoll) {
   bool found = false;
   for (const auto& h : after.value()) found = found || h.fact == fresh;
   EXPECT_TRUE(found) << "WAL-resident fact missing from SimilarTopK";
+
+  // Equal vectors tie: the exact path returns them in ascending fact id
+  // with bit-equal scores, although it scans the snapshot (node 33 = fact
+  // 133) before the journal (facts 90'000 and 7).
+  const db::FactId low = 7;
+  ASSERT_TRUE(store.Append(low, v).ok());
+  ASSERT_TRUE(store.Sync().ok());
+  ASSERT_TRUE(session.Poll().ok());
+  api::SimilarOptions exact;
+  exact.approx = false;
+  auto ties = session.SimilarTopK(Span<const double>(query, dim), 3, exact);
+  ASSERT_TRUE(ties.ok()) << ties.status();
+  ASSERT_EQ(ties.value().size(), 3u);
+  EXPECT_EQ(ties.value()[0].fact, low);
+  EXPECT_EQ(ties.value()[1].fact, 133);
+  EXPECT_EQ(ties.value()[2].fact, fresh);
+  for (const auto& h : ties.value()) {
+    EXPECT_EQ(Bits(h.score), Bits(ties.value()[0].score));
+  }
 
   // The overlay also wins for an *overwritten* snapshot fact: append a
   // replacement vector for node 0's fact and verify its served score

@@ -4,7 +4,6 @@
 
 #include "src/la/matrix.h"
 #include "src/ml/dataset.h"
-#include "src/ml/knn.h"
 #include "src/ml/logistic.h"
 #include "src/ml/metrics.h"
 #include "src/ml/scaler.h"
@@ -182,69 +181,25 @@ uint64_t Bits(double x) {
   return u;
 }
 
-// The kernel-routed EmbeddingIndex::Score must stay bit-equal to the
-// la::matrix wrappers it replaced — the refactor to la::kernels (scalar
-// and AVX2 paths are bit-identical) may not change a single result bit.
-TEST(EmbeddingIndexScoreTest, KernelRoutedScoresBitEqualTheLaWrappers) {
-  Rng rng(0x5c03e);
-  for (int trial = 0; trial < 40; ++trial) {
-    const size_t dim = 1 + static_cast<size_t>(trial) % 19;
-    la::Vector a(dim), b(dim);
-    for (size_t d = 0; d < dim; ++d) {
-      a[d] = rng.NextDouble(-3.0, 3.0);
-      b[d] = rng.NextDouble(-3.0, 3.0);
-    }
-    EmbeddingIndex cosine(SimilarityMetric::kCosine);
-    EmbeddingIndex euclidean(SimilarityMetric::kEuclidean);
-    EmbeddingIndex dot(SimilarityMetric::kDot);
-    for (EmbeddingIndex* index : {&cosine, &euclidean, &dot}) {
-      index->Add(1, a);
-      index->Add(2, b);
-    }
-    EXPECT_EQ(Bits(cosine.Similarity(1, 2).value()),
-              Bits(la::CosineSimilarity(a, b)))
-        << "trial " << trial;
-    EXPECT_EQ(Bits(euclidean.Similarity(1, 2).value()),
-              Bits(-la::Distance(a, b)))
-        << "trial " << trial;
-    EXPECT_EQ(Bits(dot.Similarity(1, 2).value()), Bits(la::Dot(a, b)))
-        << "trial " << trial;
-  }
-  // The zero-norm guard is part of the contract too.
-  EmbeddingIndex cosine(SimilarityMetric::kCosine);
-  cosine.Add(1, la::Vector(4, 0.0));
-  cosine.Add(2, {1.0, 2.0, 3.0, 4.0});
-  EXPECT_EQ(cosine.Similarity(1, 2).value(), 0.0);
-}
-
-TEST(EmbeddingIndexTopKTest, HeapSelectionKeepsOrderAndFactTieBreak) {
-  // Equal-score hits must come back in ascending fact id, and the
-  // bounded-heap selection must agree with a full sort.
-  EmbeddingIndex index(SimilarityMetric::kDot);
-  index.Add(30, {1.0});
-  index.Add(10, {1.0});
-  index.Add(20, {1.0});
-  index.Add(40, {2.0});
-  const std::vector<Neighbor> top = index.TopK({1.0}, 3);
-  ASSERT_EQ(top.size(), 3u);
-  EXPECT_EQ(top[0].fact, 40);
-  EXPECT_EQ(top[1].fact, 10);
-  EXPECT_EQ(top[2].fact, 20);
-}
+/// The smallest hit type TopKHeap accepts.
+struct Hit {
+  int fact = 0;
+  double score = 0.0;
+};
 
 TEST(TopKHeapTest, MatchesFullSortForAnyPushOrder) {
   Rng rng(77);
-  std::vector<Neighbor> hits;
+  std::vector<Hit> hits;
   for (int i = 0; i < 200; ++i) {
     // Coarse scores force plenty of ties to exercise the fact tie-break.
     hits.push_back({i, std::floor(rng.NextDouble(0.0, 8.0))});
   }
-  std::vector<Neighbor> sorted = hits;
-  std::sort(sorted.begin(), sorted.end(), HitBetter<Neighbor>());
+  std::vector<Hit> sorted = hits;
+  std::sort(sorted.begin(), sorted.end(), HitBetter<Hit>());
   for (size_t k : {size_t{0}, size_t{1}, size_t{7}, size_t{200}, size_t{500}}) {
-    TopKHeap<Neighbor> heap(k);
-    for (const Neighbor& h : hits) heap.Push(h);
-    const std::vector<Neighbor> got = std::move(heap).Take();
+    TopKHeap<Hit> heap(k);
+    for (const Hit& h : hits) heap.Push(h);
+    const std::vector<Hit> got = std::move(heap).Take();
     ASSERT_EQ(got.size(), std::min(k, hits.size()));
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].fact, sorted[i].fact) << "k=" << k << " i=" << i;

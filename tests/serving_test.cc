@@ -26,7 +26,6 @@
 #include "src/store/embedding_store.h"
 #include "src/store/format.h"
 #include "src/store/mmap_snapshot.h"
-#include "src/store/snapshot.h"
 #include "src/store/stored_model.h"
 #include "tests/test_util.h"
 
@@ -85,7 +84,8 @@ TEST(MmapSnapshotTest, ServesEveryVectorBitIdentically) {
   fwd::ForwardModel model = TrainSmall();
   const std::string dir = FreshDir("mmap_snapshot_basic");
   const std::string path = dir + "/model.snap";
-  ASSERT_TRUE(store::WriteSnapshot(model, path).ok());
+  ASSERT_TRUE(
+      store::AtomicWriteFile(path, fwd::EncodeForwardSnapshot(model)).ok());
 
   auto snap = store::MmapSnapshot::Open(path);
   ASSERT_TRUE(snap.ok()) << snap.status();
@@ -108,8 +108,11 @@ TEST(MmapSnapshotTest, AgreesWithCopyingParser) {
   fwd::ForwardModel model = TrainSmall();
   const std::string dir = FreshDir("mmap_snapshot_vs_copy");
   const std::string path = dir + "/model.snap";
-  ASSERT_TRUE(store::WriteSnapshot(model, path).ok());
-  auto copied = store::ReadSnapshot(path);
+  ASSERT_TRUE(
+      store::AtomicWriteFile(path, fwd::EncodeForwardSnapshot(model)).ok());
+  std::string bytes;
+  ASSERT_TRUE(store::ReadFileToString(path, &bytes).ok());
+  auto copied = fwd::DecodeForwardSnapshot(bytes);
   auto mapped = store::MmapSnapshot::Open(path);
   ASSERT_TRUE(copied.ok());
   ASSERT_TRUE(mapped.ok());
@@ -123,7 +126,8 @@ TEST(MmapSnapshotTest, RejectsCorruption) {
   fwd::ForwardModel model = TrainSmall();
   const std::string dir = FreshDir("mmap_snapshot_corrupt");
   const std::string path = dir + "/model.snap";
-  ASSERT_TRUE(store::WriteSnapshot(model, path).ok());
+  ASSERT_TRUE(
+      store::AtomicWriteFile(path, fwd::EncodeForwardSnapshot(model)).ok());
 
   std::string bytes;
   ASSERT_TRUE(store::ReadFileToString(path, &bytes).ok());
@@ -146,7 +150,8 @@ TEST(MmapSnapshotTest, ServesPsiMatricesZeroCopy) {
   fwd::ForwardModel model = TrainSmall();
   const std::string dir = FreshDir("mmap_snapshot_psi");
   const std::string path = dir + "/model.snap";
-  ASSERT_TRUE(store::WriteSnapshot(model, path).ok());
+  ASSERT_TRUE(
+      store::AtomicWriteFile(path, fwd::EncodeForwardSnapshot(model)).ok());
 
   auto snap = store::MmapSnapshot::Open(path);
   ASSERT_TRUE(snap.ok()) << snap.status();

@@ -12,12 +12,11 @@
 
 #include "src/ann/hnsw.h"
 #include "src/common/rng.h"
-#include "src/fwd/serialize.h"
+#include "src/fwd/codec.h"
 #include "src/fwd/trainer.h"
 #include "src/store/embedding_store.h"
 #include "src/store/format.h"
 #include "src/store/model_codec.h"
-#include "src/store/snapshot.h"
 #include "src/store/stored_model.h"
 #include "src/store/wal.h"
 #include "tests/test_util.h"
@@ -58,7 +57,7 @@ class StoreFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StoreFuzzTest, SnapshotSurvivesTruncationAndFlips) {
   const fwd::ForwardModel model = TrainSmall();
-  const std::string good = SnapshotToBytes(model);
+  const std::string good = fwd::EncodeForwardSnapshot(model);
   Rng rng(static_cast<uint64_t>(GetParam()) * 6151);
 
   for (int trial = 0; trial < 60; ++trial) {
@@ -74,10 +73,10 @@ TEST_P(StoreFuzzTest, SnapshotSurvivesTruncationAndFlips) {
           static_cast<unsigned char>(bad[at]) ^
           (1u << rng.NextIndex(8)));
     }
-    auto parsed = SnapshotFromBytes(bad);
+    auto parsed = fwd::DecodeForwardSnapshot(bad);
     if (parsed.ok()) {
       // Only padding flips may survive, and they must change nothing.
-      EXPECT_EQ(ModelMaxAbsDiff(parsed.value(), model), 0.0);
+      EXPECT_EQ(fwd::ModelMaxAbsDiff(parsed.value(), model), 0.0);
     } else {
       EXPECT_FALSE(parsed.status().message().empty());
     }
@@ -96,7 +95,7 @@ TEST_P(StoreFuzzTest, SnapshotSurvivesPureNoise) {
     if (rng.NextBool(0.5) && noise.size() >= 8) {
       noise.replace(0, 8, "STEDBSNP");
     }
-    EXPECT_FALSE(SnapshotFromBytes(noise).ok());
+    EXPECT_FALSE(fwd::DecodeForwardSnapshot(noise).ok());
   }
 }
 
@@ -128,31 +127,6 @@ TEST_P(StoreFuzzTest, WalReplayNeverCrashesAndPrefixStaysValid) {
   }
 }
 
-TEST_P(StoreFuzzTest, TextModelParserSurvivesMutations) {
-  const fwd::ForwardModel model = TrainSmall();
-  const std::string good = fwd::ModelToText(model);
-  Rng rng(static_cast<uint64_t>(GetParam()) * 4409);
-
-  for (int trial = 0; trial < 40; ++trial) {
-    std::string bad = good;
-    if (rng.NextBool(0.5)) {
-      bad.resize(rng.NextIndex(bad.size() + 1));
-    }
-    const size_t flips = 1 + rng.NextIndex(3);
-    for (size_t k = 0; k < flips && !bad.empty(); ++k) {
-      bad[rng.NextIndex(bad.size())] =
-          static_cast<char>(rng.NextIndex(128));
-    }
-    auto parsed = fwd::ModelFromText(bad);
-    if (parsed.ok()) {
-      // A benign mutation (e.g. inside a double's least-significant
-      // digits) must still yield a structurally sound model.
-      EXPECT_EQ(parsed.value().dim(), model.dim());
-      EXPECT_EQ(parsed.value().targets().size(), model.targets().size());
-    }
-  }
-}
-
 TEST_P(StoreFuzzTest, ContainerHeaderSurvivesFieldMutations) {
   // The v2 header (magic, container version, method tag, codec version,
   // section count, dim, relation — bytes [0, 40)) is the new parse path:
@@ -161,7 +135,7 @@ TEST_P(StoreFuzzTest, ContainerHeaderSurvivesFieldMutations) {
   // never dereferences, but a flip there still fails the META cross-check
   // for FoRWaRD snapshots). Never a crash or an over-allocation.
   const fwd::ForwardModel model = TrainSmall();
-  const std::string good = SnapshotToBytes(model);
+  const std::string good = fwd::EncodeForwardSnapshot(model);
   ASSERT_GE(good.size(), 40u);
   Rng rng(static_cast<uint64_t>(GetParam()) * 8089);
 
@@ -169,9 +143,9 @@ TEST_P(StoreFuzzTest, ContainerHeaderSurvivesFieldMutations) {
     for (int trial = 0; trial < 4; ++trial) {
       std::string bad = good;
       bad[at] = static_cast<char>(rng.NextIndex(256));
-      auto parsed = SnapshotFromBytes(bad);
+      auto parsed = fwd::DecodeForwardSnapshot(bad);
       if (parsed.ok()) {
-        EXPECT_EQ(ModelMaxAbsDiff(parsed.value(), model), 0.0)
+        EXPECT_EQ(fwd::ModelMaxAbsDiff(parsed.value(), model), 0.0)
             << "undetected header corruption at byte " << at;
       } else {
         EXPECT_FALSE(parsed.status().message().empty());
@@ -188,7 +162,7 @@ TEST_P(StoreFuzzTest, ContainerHeaderSurvivesFieldMutations) {
   // Version-skew bytes get the dedicated, actionable message.
   std::string v1 = good;
   v1[8] = 1;
-  auto old_err = SnapshotFromBytes(v1);
+  auto old_err = fwd::DecodeForwardSnapshot(v1);
   ASSERT_FALSE(old_err.ok());
   EXPECT_NE(old_err.status().message().find("version 1"), std::string::npos);
 }
@@ -266,7 +240,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StoreFuzzTest, ::testing::Range(1, 6));
 /// a fuzz failure is always reproducible from its seed.
 TEST(StoreFuzzDeterminismTest, SameSeedSameVerdicts) {
   const fwd::ForwardModel model = TrainSmall();
-  const std::string good = SnapshotToBytes(model);
+  const std::string good = fwd::EncodeForwardSnapshot(model);
   for (uint64_t seed : {11u, 12u}) {
     std::vector<bool> verdict1, verdict2;
     for (std::vector<bool>* out : {&verdict1, &verdict2}) {
@@ -274,7 +248,7 @@ TEST(StoreFuzzDeterminismTest, SameSeedSameVerdicts) {
       for (int trial = 0; trial < 20; ++trial) {
         std::string bad = good;
         bad.resize(rng.NextIndex(bad.size() + 1));
-        out->push_back(SnapshotFromBytes(bad).ok());
+        out->push_back(fwd::DecodeForwardSnapshot(bad).ok());
       }
     }
     EXPECT_EQ(verdict1, verdict2);

@@ -6,22 +6,23 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <thread>
+#include <vector>
 
 #include "src/fwd/codec.h"
 #include "src/fwd/forward.h"
-#include "src/fwd/serialize.h"
 #include "src/n2v/node2vec.h"
 #include "src/store/embedding_store.h"
 #include "src/store/model_codec.h"
 #include "src/store/format.h"
-#include "src/store/snapshot.h"
 #include "src/store/wal.h"
 #include "tests/test_util.h"
 
 namespace stedb::store {
 namespace {
 
+using fwd::ModelMaxAbsDiff;
 using stedb::testing::InsertC4;
 using stedb::testing::MovieDatabase;
 
@@ -66,8 +67,8 @@ la::Vector TestVector(size_t dim, int tag) {
 
 TEST(SnapshotTest, RoundTripIsBitExact) {
   fwd::ForwardModel model = TrainSmall();
-  const std::string bytes = SnapshotToBytes(model);
-  auto parsed = SnapshotFromBytes(bytes);
+  const std::string bytes = fwd::EncodeForwardSnapshot(model);
+  auto parsed = fwd::DecodeForwardSnapshot(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(ModelMaxAbsDiff(parsed.value(), model), 0.0);
 }
@@ -76,27 +77,31 @@ TEST(SnapshotTest, BytesAreDeterministic) {
   fwd::ForwardModel model = TrainSmall();
   // φ lives in an unordered_map; the sorted PHI section must still make
   // byte-identical snapshots out of equal models.
-  auto reparsed = SnapshotFromBytes(SnapshotToBytes(model));
+  auto reparsed = fwd::DecodeForwardSnapshot(fwd::EncodeForwardSnapshot(model));
   ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(SnapshotToBytes(model), SnapshotToBytes(reparsed.value()));
+  EXPECT_EQ(fwd::EncodeForwardSnapshot(model),
+            fwd::EncodeForwardSnapshot(reparsed.value()));
 }
 
 TEST(SnapshotTest, FileRoundTripAndAtomicReplace) {
   fwd::ForwardModel model = TrainSmall();
   const std::string dir = FreshDir("snap_file");
   const std::string path = dir + "/model.snap";
-  ASSERT_TRUE(WriteSnapshot(model, path).ok());
-  ASSERT_TRUE(WriteSnapshot(model, path).ok());  // replace in place
+  const std::string bytes = fwd::EncodeForwardSnapshot(model);
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());  // replace in place
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  auto loaded = ReadSnapshot(path);
+  std::string read;
+  ASSERT_TRUE(ReadFileToString(path, &read).ok());
+  auto loaded = fwd::DecodeForwardSnapshot(read);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(ModelMaxAbsDiff(loaded.value(), model), 0.0);
 }
 
 TEST(SnapshotTest, DetectsCorruptionEverywhere) {
   fwd::ForwardModel model = TrainSmall();
-  const std::string good = SnapshotToBytes(model);
-  ASSERT_TRUE(SnapshotFromBytes(good).ok());
+  const std::string good = fwd::EncodeForwardSnapshot(model);
+  ASSERT_TRUE(fwd::DecodeForwardSnapshot(good).ok());
 
   // A flip of any single byte must be rejected (header checks or section
   // CRC) or — only for bytes in the zero padding — parse to the same
@@ -104,7 +109,7 @@ TEST(SnapshotTest, DetectsCorruptionEverywhere) {
   for (size_t i = 0; i < good.size(); ++i) {
     std::string bad = good;
     bad[i] = static_cast<char>(bad[i] ^ 0x40);
-    auto parsed = SnapshotFromBytes(bad);
+    auto parsed = fwd::DecodeForwardSnapshot(bad);
     if (parsed.ok()) {
       EXPECT_EQ(ModelMaxAbsDiff(parsed.value(), model), 0.0)
           << "undetected corruption at byte " << i;
@@ -113,18 +118,118 @@ TEST(SnapshotTest, DetectsCorruptionEverywhere) {
 }
 
 TEST(SnapshotTest, RejectsTruncation) {
-  const std::string good = SnapshotToBytes(TrainSmall());
+  const std::string good = fwd::EncodeForwardSnapshot(TrainSmall());
   for (size_t cut : {size_t{0}, size_t{4}, size_t{15}, size_t{17},
                      good.size() / 2, good.size() - 1}) {
-    EXPECT_FALSE(SnapshotFromBytes(good.substr(0, cut)).ok())
+    EXPECT_FALSE(fwd::DecodeForwardSnapshot(good.substr(0, cut)).ok())
         << "accepted a snapshot cut to " << cut << " bytes";
   }
 }
 
 TEST(SnapshotTest, RejectsTrailingGarbage) {
-  std::string bytes = SnapshotToBytes(TrainSmall());
+  std::string bytes = fwd::EncodeForwardSnapshot(TrainSmall());
   bytes += "excess bytes";
-  EXPECT_FALSE(SnapshotFromBytes(bytes).ok());
+  EXPECT_FALSE(fwd::DecodeForwardSnapshot(bytes).ok());
+}
+
+// ---- Recovery diff -----------------------------------------------------
+//
+// The experiments report these diffs as `journal_drift` and require it to
+// be exactly 0, so a diff that answered 0 for unequal models would gate
+// nothing. Pin every branch: 0 only for equal bits, the exact deviation
+// otherwise, +inf for NaN-valued differences and structural mismatches.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// ModelMaxAbsDiff(x, y) through all three overloads, which must agree.
+double ForwardDiff(const fwd::ForwardModel& x, const fwd::ForwardModel& y) {
+  const double d = ModelMaxAbsDiff(x, y);
+  const fwd::ForwardStoredModel sx(x), sy(y);
+  EXPECT_EQ(ModelMaxAbsDiff(sx, y), d);
+  EXPECT_EQ(ModelMaxAbsDiff(sx, sy), d);
+  return d;
+}
+
+/// `model` under other schemes and equally many other targets, with the
+/// same φ and ψ.
+fwd::ForwardModel Reshaped(const fwd::ForwardModel& model,
+                           std::vector<fwd::WalkScheme> schemes,
+                           std::vector<fwd::SchemeTarget> targets) {
+  fwd::ForwardModel out(model.relation(), model.dim(), std::move(schemes),
+                        std::move(targets));
+  for (const auto& [f, v] : model.all_phi()) out.set_phi(f, v);
+  for (size_t t = 0; t < model.targets().size(); ++t) {
+    *out.mutable_psi(t) = model.psi(t);
+  }
+  return out;
+}
+
+TEST(RecoveryDiffTest, ForwardDiffIsExactAndGuardsNaNAndStructure) {
+  fwd::ForwardModel a = TrainSmall();
+  ASSERT_FALSE(a.targets().empty());
+  const db::FactId f = a.SortedFacts().front();
+  (*a.mutable_phi(f))[0] = kNaN;
+  (*a.mutable_phi(f))[1] = 0.5;
+  EXPECT_EQ(ForwardDiff(a, a), 0.0);  // a NaN with equal bits is equal
+  EXPECT_EQ(ForwardDiff(a, Reshaped(a, a.schemes(), a.targets())), 0.0);
+
+  fwd::ForwardModel b = a;
+  (*b.mutable_phi(f))[1] = 0.75;
+  EXPECT_EQ(ForwardDiff(a, b), 0.25);
+  EXPECT_EQ(ForwardDiff(b, a), 0.25);
+  (*b.mutable_phi(f))[1] = kNaN;
+  EXPECT_EQ(ForwardDiff(a, b), kInf);
+  b = a;
+  b.mutable_psi(0)->data()[0] = kNaN;
+  EXPECT_EQ(ForwardDiff(a, b), kInf);
+
+  // Equal fact counts over different fact sets, then one fact more.
+  fwd::ForwardModel with_x = a, with_y = a;
+  with_x.set_phi(900001, a.phi(f));
+  with_y.set_phi(900002, a.phi(f));
+  EXPECT_EQ(ForwardDiff(with_x, with_y), kInf);
+  EXPECT_EQ(ForwardDiff(a, with_x), kInf);
+
+  EXPECT_EQ(ForwardDiff(a, fwd::ForwardModel(a.relation(), a.dim() + 1,
+                                             a.schemes(), a.targets())),
+            kInf);
+  std::vector<fwd::WalkScheme> schemes = a.schemes();
+  schemes.push_back(schemes.front());
+  EXPECT_EQ(ForwardDiff(a, Reshaped(a, schemes, a.targets())), kInf);
+  std::vector<fwd::SchemeTarget> targets = a.targets();
+  targets.front().attr += 1;
+  EXPECT_EQ(ForwardDiff(a, Reshaped(a, a.schemes(), targets)), kInf);
+
+  // A Node2Vec-style model on a FoRWaRD overload.
+  VectorSetModel vectors(a.dim(), a.relation());
+  for (const auto& [g, v] : a.all_phi()) vectors.set_phi(g, v);
+  const fwd::ForwardStoredModel stored(a);
+  EXPECT_EQ(ModelMaxAbsDiff(vectors, a), kInf);
+  EXPECT_EQ(ModelMaxAbsDiff(vectors, stored), kInf);
+  EXPECT_EQ(ModelMaxAbsDiff(stored, vectors), kInf);
+}
+
+TEST(RecoveryDiffTest, StoredDiffIsExactAndGuardsNaNAndStructure) {
+  // Facts 10..14 plus `last`, whose φ is (NaN, x1, ...).
+  const auto make = [](size_t dim, db::RelationId relation, db::FactId last,
+                       double x1) {
+    VectorSetModel m(dim, relation);
+    for (int i = 0; i < 5; ++i) m.set_phi(10 + i, TestVector(dim, i));
+    la::Vector v = TestVector(dim, 9);
+    v[0] = kNaN;
+    v[1] = x1;
+    m.set_phi(last, v);
+    return m;
+  };
+  const VectorSetModel a = make(4, 3, 20, 0.5);
+  EXPECT_EQ(StoredModelMaxAbsDiff(a, a), 0.0);
+  EXPECT_EQ(StoredModelMaxAbsDiff(a, make(4, 3, 20, 0.75)), 0.25);
+  EXPECT_EQ(StoredModelMaxAbsDiff(make(4, 3, 20, 0.75), a), 0.25);
+  EXPECT_EQ(StoredModelMaxAbsDiff(a, make(4, 3, 20, kNaN)), kInf);
+  EXPECT_EQ(StoredModelMaxAbsDiff(a, make(4, 3, 21, 0.5)), kInf);
+  EXPECT_EQ(StoredModelMaxAbsDiff(a, make(5, 3, 20, 0.5)), kInf);
+  EXPECT_EQ(StoredModelMaxAbsDiff(a, make(4, 4, 20, 0.5)), kInf);
 }
 
 // ---- WAL ---------------------------------------------------------------
@@ -383,8 +488,9 @@ TEST(EmbeddingStoreTest, StaleJournalOverFreshSnapshotIsIdempotent) {
   }
   // Simulate the crash: snapshot the journaled state in place, keep the
   // journal file untouched (Compact would have reset it next).
-  ASSERT_TRUE(WriteSnapshot(*fwd::AsForwardModel(st.model()),
-                            EmbeddingStore::SnapshotPath(dir))
+  ASSERT_TRUE(AtomicWriteFile(EmbeddingStore::SnapshotPath(dir),
+                              fwd::EncodeForwardSnapshot(
+                                  *fwd::AsForwardModel(st.model())))
                   .ok());
   auto recovered = EmbeddingStore::Open(dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
@@ -586,7 +692,7 @@ TEST(ModelCodecTest, BuiltinsAreRegistered) {
 
 TEST(ModelCodecTest, SnapshotHeaderCarriesMethodTag) {
   fwd::ForwardModel model = TrainSmall();
-  const std::string bytes = SnapshotToBytes(model);
+  const std::string bytes = fwd::EncodeForwardSnapshot(model);
   auto parsed = ParseSnapshotContainer(bytes.data(), bytes.size());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed.value().header.method_tag, fwd::kForwardMethodTag);
@@ -598,11 +704,11 @@ TEST(ModelCodecTest, SnapshotHeaderCarriesMethodTag) {
 
 TEST(ModelCodecTest, VersionSkewIsAClearErrorNotACrcFailure) {
   fwd::ForwardModel model = TrainSmall();
-  std::string bytes = SnapshotToBytes(model);
+  std::string bytes = fwd::EncodeForwardSnapshot(model);
   // Container version sits at offset 8 (little-endian u32).
   std::string old_version = bytes;
   old_version[8] = 1;
-  auto old_parsed = SnapshotFromBytes(old_version);
+  auto old_parsed = fwd::DecodeForwardSnapshot(old_version);
   ASSERT_FALSE(old_parsed.ok());
   EXPECT_EQ(old_parsed.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(old_parsed.status().message().find("older binary"),
@@ -611,7 +717,7 @@ TEST(ModelCodecTest, VersionSkewIsAClearErrorNotACrcFailure) {
 
   std::string new_version = bytes;
   new_version[8] = 3;
-  auto new_parsed = SnapshotFromBytes(new_version);
+  auto new_parsed = fwd::DecodeForwardSnapshot(new_version);
   ASSERT_FALSE(new_parsed.ok());
   EXPECT_NE(new_parsed.status().message().find("newer binary"),
             std::string::npos)
