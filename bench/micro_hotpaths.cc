@@ -3,26 +3,26 @@
 // evaluation, the two least-squares solvers of the dynamic extension, SGNS
 // updates, and database mutation primitives.
 //
-// On startup (before the registered benchmarks run) the binary also emits
-// BENCH_parallel.json — serial vs. threaded wall-time for the three
-// parallelized hot paths and for a raw std::thread probe of the machine's
-// parallel capacity, the runtime's own per-fan-out cost, plus
-// scalar-vs-active timings of the dispatched SIMD kernels (la/kernels.h)
-// — so the perf trajectory of the parallel runtime and the kernel layer
-// is machine-readable from every CI run. Set
-// STEDB_BENCH_JSON to choose the output path, or STEDB_BENCH_JSON=off to
-// skip the emission. Use --benchmark_filter=NoSuchBenchmark to emit the
-// report without running the micro-benchmarks.
+// On startup (before the registered benchmarks run) the binary also writes
+// BENCH_parallel.json to the working directory — serial vs. threaded
+// wall-time for the three parallelized hot paths and for a raw std::thread
+// probe of the machine's parallel capacity, the runtime's own per-fan-out
+// cost, plus scalar-vs-active timings of the dispatched SIMD kernels
+// (la/kernels.h) — so the perf trajectory of the parallel runtime and the
+// kernel layer is machine-readable from every CI run. Use
+// --benchmark_filter=NoSuchBenchmark to write the report without running
+// the micro-benchmarks.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/common/parallel.h"
 #include "src/common/timer.h"
 #include "src/data/registry.h"
@@ -417,15 +417,11 @@ void MicroWorkUnit() {
   benchmark::DoNotOptimize(x);
 }
 
-struct FanoutTiming {
-  double median_us = 0.0;
-  /// Share of calls where some index ran off the calling thread.
-  double multi_thread_share = 0.0;
-};
-
 /// The runtime's own cost: back-to-back 64-task ParallelFor calls of ~1 µs
-/// bodies at `threads` (0 = the default count).
-FanoutTiming TimeFanout(int threads) {
+/// bodies at `threads` (0 = the default count). Reports the row `name`:
+/// the median call and the share of calls where some index ran off the
+/// calling thread.
+void TimeFanout(const char* name, int threads, bench::Report& report) {
   constexpr size_t kFanouts = 3000;
   constexpr size_t kTasks = 64;
   const std::thread::id caller = std::this_thread::get_id();
@@ -444,8 +440,12 @@ FanoutTiming TimeFanout(int threads) {
     if (helped.load()) ++multi;
   }
   std::nth_element(us.begin(), us.begin() + kFanouts / 2, us.end());
-  return {us[kFanouts / 2],
-          static_cast<double>(multi) / static_cast<double>(kFanouts)};
+  report.Row(name);
+  report.Set("threads", ResolveThreadCount(threads));
+  report.Set("median_us", us[kFanouts / 2]);
+  report.Set("multi_thread_share",
+             static_cast<double>(multi) / static_cast<double>(kFanouts));
+  report.End();
 }
 
 void BM_ForwardTrainStatic(benchmark::State& state) {
@@ -494,20 +494,13 @@ double NsPerOp(const Fn& op) {
   }
 }
 
-struct KernelTiming {
-  std::string name;
-  size_t dim;
-  double scalar_ns;
-  double active_ns;
-};
-
 /// Times the kernel shapes of the report (dot, axpy, matvec, bilinear,
 /// rank-1 add_outer, row gather, Adam step) at the canonical dims, once
 /// with the dispatch forced to scalar and once on the path the dispatcher
-/// actually picked. The active path is restored afterwards.
-std::vector<KernelTiming> TimeKernels() {
+/// actually picked, and reports one row per shape. The active path is
+/// restored afterwards.
+void TimeKernels(bench::Report& report) {
   const la::SimdPath active = la::ActiveSimdPath();
-  std::vector<KernelTiming> out;
   Rng rng(17);
   constexpr size_t kGatherRows = 256;
   for (size_t d : {16u, 64u, 128u, 512u}) {
@@ -570,120 +563,69 @@ std::vector<KernelTiming> TimeKernels() {
          }},
     };
     for (const Op& op : ops) {
-      KernelTiming kt;
-      kt.name = std::string(op.name) + "_d" + std::to_string(d);
-      kt.dim = d;
       la::internal::ForceSimdPathForTest(la::SimdPath::kScalar);
-      kt.scalar_ns = NsPerOp(op.run);
+      const double scalar_ns = NsPerOp(op.run);
       la::internal::ForceSimdPathForTest(active);
-      kt.active_ns = NsPerOp(op.run);
-      out.push_back(std::move(kt));
+      const double active_ns = NsPerOp(op.run);
+      report.Row(std::string(op.name) + "_d" + std::to_string(d));
+      report.Set("dim", d);
+      report.Set("scalar_ns", scalar_ns);
+      report.Set("active_ns", active_ns);
+      report.Set("speedup", active_ns > 0.0 ? scalar_ns / active_ns : 0.0);
+      report.End();
     }
   }
   la::internal::ForceSimdPathForTest(active);
-  return out;
 }
 
-/// Writes BENCH_parallel.json: serial vs. threaded wall time per hot path.
+/// Writes BENCH_parallel.json: serial vs. threaded wall time per hot path,
+/// the runtime's fan-out cost and the kernels' scalar vs. active time.
 /// The explicit per-run thread counts are never overridden by
 /// STEDB_THREADS (explicit pins win, see ResolveThreadCount). When a hot
 /// path fails to run, nothing is written (CI catches the missing artifact)
 /// and a warning goes to stderr — the registered benchmarks still run.
-void EmitParallelJson() {
-  const char* out_env = std::getenv("STEDB_BENCH_JSON");
-  std::string path = out_env != nullptr && *out_env != '\0'
-                         ? out_env
-                         : "BENCH_parallel.json";
-  if (path == "off" || path == "0") return;
-
+void WriteParallelReport() {
   const int threaded = 4;
-  struct HotPath {
-    const char* name;
-    double (*run)(int threads);
-    double serial = 0.0;
-    double parallel = 0.0;
-  };
-  HotPath paths[] = {
+  bench::Report report("parallel");
+  report.Set("threads", threaded);
+  const std::pair<const char*, double (*)(int)> hot_paths[] = {
       {"forward_train_static", &TimeForwardTrain},
       {"n2v_walk_corpus", &TimeWalkCorpus},
       {"sgns_epochs", &TimeSgnsEpochs},
       {"raw_threads", &TimeRawThreads},
   };
-  for (HotPath& hp : paths) {
-    hp.serial = hp.run(1);
-    hp.parallel = hp.run(threaded);
-    if (hp.serial < 0.0 || hp.parallel < 0.0) {
+  report.Begin("hot_paths", '[');
+  for (const auto& [name, run] : hot_paths) {
+    const double serial = run(1);
+    const double parallel = run(threaded);
+    if (serial < 0.0 || parallel < 0.0) {
       std::fprintf(stderr, "BENCH_parallel.json: hot path %s failed\n",
-                   hp.name);
+                   name);
       return;
     }
+    report.Row(name);
+    report.Set("serial_seconds", serial);
+    report.Set("parallel_seconds", parallel);
+    report.Set("speedup", parallel > 0.0 ? serial / parallel : 0.0);
+    report.End();
   }
-
-  struct Fanout {
-    const char* name;
-    int threads;
-    FanoutTiming timing;
-  };
-  Fanout fanouts[] = {{"default", 0, {}}, {"pin4", threaded, {}}};
-  for (Fanout& fo : fanouts) fo.timing = TimeFanout(fo.threads);
-
-  const std::vector<KernelTiming> kernels = TimeKernels();
-
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "BENCH_parallel.json: cannot open %s\n",
-                 path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"parallel_hotpaths\",\n"
-               "  \"hardware_concurrency\": %u,\n"
-               "  \"threads\": %d,\n  \"hot_paths\": [\n",
-               std::thread::hardware_concurrency(), threaded);
-  bool first = true;
-  for (const HotPath& hp : paths) {
-    std::fprintf(
-        f,
-        "%s    {\"name\": \"%s\", \"serial_seconds\": %.6f, "
-        "\"parallel_seconds\": %.6f, \"speedup\": %.3f}",
-        first ? "" : ",\n", hp.name, hp.serial, hp.parallel,
-        hp.parallel > 0.0 ? hp.serial / hp.parallel : 0.0);
-    first = false;
-  }
+  report.End();
   // The runtime's per-call cost: a 64-task fan-out of ~1 µs bodies. Read
   // multi_thread_share next to raw_threads: both say how much parallel
   // capacity the machine offered during the run.
-  std::fprintf(f, "\n  ],\n  \"fanout_64x1us\": [\n");
-  first = true;
-  for (const Fanout& fo : fanouts) {
-    std::fprintf(f,
-                 "%s    {\"name\": \"%s\", \"threads\": %d, "
-                 "\"median_us\": %.2f, \"multi_thread_share\": %.3f}",
-                 first ? "" : ",\n", fo.name, ResolveThreadCount(fo.threads),
-                 fo.timing.median_us, fo.timing.multi_thread_share);
-    first = false;
-  }
+  report.Begin("fanout_64x1us", '[');
+  TimeFanout("default", 0, report);
+  TimeFanout("pin4", threaded, report);
+  report.End();
   // The SIMD kernel section: per-kernel scalar vs. active-path time. The
   // "speedup" field (scalar / active) is what bench_compare.py tracks —
   // bigger is better, and it is 1.0 by construction on machines where the
   // dispatcher picked scalar.
-  std::fprintf(f,
-               "\n  ],\n  \"simd\": {\n    \"active_path\": \"%s\",\n"
-               "    \"kernels\": [\n",
-               la::ActiveSimdPathName());
-  first = true;
-  for (const KernelTiming& kt : kernels) {
-    std::fprintf(
-        f,
-        "%s      {\"name\": \"%s\", \"dim\": %zu, \"scalar_ns\": %.2f, "
-        "\"active_ns\": %.2f, \"speedup\": %.3f}",
-        first ? "" : ",\n", kt.name.c_str(), kt.dim, kt.scalar_ns,
-        kt.active_ns, kt.active_ns > 0.0 ? kt.scalar_ns / kt.active_ns : 0.0);
-    first = false;
-  }
-  std::fprintf(f, "\n    ]\n  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
+  report.Begin("simd", '{');
+  report.Set("active_path", la::ActiveSimdPathName());
+  report.Begin("kernels", '[');
+  TimeKernels(report);
+  report.Write();
 }
 
 }  // namespace
@@ -692,7 +634,7 @@ void EmitParallelJson() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  stedb::EmitParallelJson();
+  stedb::WriteParallelReport();
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,17 +8,15 @@
 //   * recall@10 of HNSW against the exact oracle (blocking: >= 0.95),
 //   * mean visited nodes per search (the sublinearity witness).
 //
-// Results go to BENCH_ann.json (STEDB_BENCH_ANN_JSON overrides the path;
-// "off" disables). Recall below the gate fails the binary; the latency
-// speedup is advisory — smoke-scale stores are small enough that the
-// brute-force scan stays competitive, the 10x shows up at default scale.
+// Results go to BENCH_ann.json in the working directory. Recall below the
+// gate fails the binary; the latency speedup is advisory — smoke-scale
+// stores are small enough that the brute-force scan stays competitive, the
+// 10x shows up at default scale.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -36,14 +34,6 @@ namespace {
 
 constexpr double kRecallGate = 0.95;
 
-double Percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  const size_t idx = std::min(
-      sorted_us.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted_us.size())));
-  return sorted_us[idx];
-}
-
 /// Clustered unit-ball vectors: the same shape ann_test uses, so recall
 /// here measures graph quality, not float-tie resolution on degenerate
 /// near-duplicates.
@@ -55,54 +45,6 @@ la::Vector RandomPoint(Rng& rng, const la::Vector& center, double noise) {
   return v;
 }
 
-struct Numbers {
-  size_t vectors = 0;
-  size_t dim = 0;
-  size_t queries = 0;
-  double build_seconds = 0.0;
-  double exact_p50_us = 0.0;
-  double exact_p99_us = 0.0;
-  double hnsw_p50_us = 0.0;
-  double hnsw_p99_us = 0.0;
-  double p50_speedup = 0.0;
-  double recall_at_10 = 0.0;
-  double mean_visited_nodes = 0.0;
-};
-
-void EmitAnnJson(const Numbers& n) {
-  const char* out_env = std::getenv("STEDB_BENCH_ANN_JSON");
-  std::string path =
-      out_env != nullptr && *out_env != '\0' ? out_env : "BENCH_ann.json";
-  if (path == "off" || path == "0") return;
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "BENCH_ann.json: cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"ann\",\n"
-               "  \"hardware_concurrency\": %u,\n"
-               "  \"vectors\": %zu,\n"
-               "  \"dim\": %zu,\n"
-               "  \"queries\": %zu,\n"
-               "  \"ann_build_seconds\": %.6f,\n"
-               "  \"exact_p50_us\": %.1f,\n"
-               "  \"exact_p99_us\": %.1f,\n"
-               "  \"hnsw_p50_us\": %.1f,\n"
-               "  \"hnsw_p99_us\": %.1f,\n"
-               "  \"p50_speedup\": %.2f,\n"
-               "  \"recall_at_10\": %.4f,\n"
-               "  \"mean_visited_nodes\": %.1f\n"
-               "}\n",
-               std::thread::hardware_concurrency(), n.vectors, n.dim,
-               n.queries, n.build_seconds, n.exact_p50_us, n.exact_p99_us,
-               n.hnsw_p50_us, n.hnsw_p99_us, n.p50_speedup, n.recall_at_10,
-               n.mean_visited_nodes);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int, char**) {
@@ -112,29 +54,28 @@ int main(int, char**) {
                      "graph (latency, recall@10, visited nodes)",
                      scale);
 
-  Numbers n;
-  n.vectors = scale == exp::RunScale::kSmoke ? 10000 : 100000;
-  n.dim = 32;
-  n.queries = scale == exp::RunScale::kSmoke ? 200 : 1000;
+  const size_t vectors = scale == exp::RunScale::kSmoke ? 10000 : 100000;
+  const size_t dim = 32;
+  const size_t num_queries = scale == exp::RunScale::kSmoke ? 200 : 1000;
   const size_t k = 10;
 
   // Data: 64 Gaussian clusters, enough spread that exact top-10 is
   // well-conditioned (see ann_test for the degenerate-tie pitfall).
   std::printf("generating %zu vectors (dim %zu, 64 clusters)...\n",
-              n.vectors, n.dim);
+              vectors, dim);
   Rng rng(0xA22);
   std::vector<la::Vector> centers;
   for (int c = 0; c < 64; ++c) {
-    centers.push_back(RandomPoint(rng, la::Vector(n.dim, 0.0), 1.0));
+    centers.push_back(RandomPoint(rng, la::Vector(dim, 0.0), 1.0));
   }
-  auto model = std::make_unique<store::VectorSetModel>(n.dim, -1);
-  for (size_t i = 0; i < n.vectors; ++i) {
+  auto model = std::make_unique<store::VectorSetModel>(dim, -1);
+  for (size_t i = 0; i < vectors; ++i) {
     model->set_phi(
         static_cast<db::FactId>(i),
         RandomPoint(rng, centers[i % centers.size()], 0.6));
   }
   std::vector<la::Vector> queries;
-  for (size_t q = 0; q < n.queries; ++q) {
+  for (size_t q = 0; q < num_queries; ++q) {
     queries.push_back(
         RandomPoint(rng, centers[q % centers.size()], 0.6));
   }
@@ -165,9 +106,9 @@ int main(int, char**) {
     return 1;
   }
   const double create_seconds = build_timer.ElapsedSeconds();
-  n.build_seconds = build_hist.Sum() - build_sum_before;
+  const double build_seconds = build_hist.Sum() - build_sum_before;
   std::printf("store created in %.2fs (HNSW build %.2fs)\n\n",
-              create_seconds, n.build_seconds);
+              create_seconds, build_seconds);
 
   auto session = api::ServingSession::Open(dir);
   if (!session.ok()) {
@@ -223,53 +164,64 @@ int main(int, char**) {
       }
     }
   }
-  n.recall_at_10 = static_cast<double>(overlap) /
-                   static_cast<double>(n.queries * k);
+  const double recall_at_10 = static_cast<double>(overlap) /
+                             static_cast<double>(num_queries * k);
   const uint64_t searches = visited_hist.Count() - visited_count_before;
-  n.mean_visited_nodes =
+  const double mean_visited_nodes =
       searches > 0 ? (visited_hist.Sum() - visited_sum_before) /
                          static_cast<double>(searches)
                    : 0.0;
 
   std::sort(exact_us.begin(), exact_us.end());
   std::sort(hnsw_us.begin(), hnsw_us.end());
-  n.exact_p50_us = Percentile(exact_us, 0.50);
-  n.exact_p99_us = Percentile(exact_us, 0.99);
-  n.hnsw_p50_us = Percentile(hnsw_us, 0.50);
-  n.hnsw_p99_us = Percentile(hnsw_us, 0.99);
-  n.p50_speedup =
-      n.hnsw_p50_us > 0.0 ? n.exact_p50_us / n.hnsw_p50_us : 0.0;
+  const double exact_p50_us = bench::Percentile(exact_us, 0.50);
+  const double exact_p99_us = bench::Percentile(exact_us, 0.99);
+  const double hnsw_p50_us = bench::Percentile(hnsw_us, 0.50);
+  const double hnsw_p99_us = bench::Percentile(hnsw_us, 0.99);
+  const double p50_speedup =
+      hnsw_p50_us > 0.0 ? exact_p50_us / hnsw_p50_us : 0.0;
 
   exp::TableWriter table({"Path", "p50", "p99", "recall@10", "visited"});
   char p50[32], p99[32];
-  std::snprintf(p50, sizeof(p50), "%.0fus", n.exact_p50_us);
-  std::snprintf(p99, sizeof(p99), "%.0fus", n.exact_p99_us);
-  table.AddRow({"exact scan", p50, p99, "1.0000",
-                std::to_string(n.vectors)});
+  std::snprintf(p50, sizeof(p50), "%.0fus", exact_p50_us);
+  std::snprintf(p99, sizeof(p99), "%.0fus", exact_p99_us);
+  table.AddRow({"exact scan", p50, p99, "1.0000", std::to_string(vectors)});
   char r[32], v[32];
-  std::snprintf(p50, sizeof(p50), "%.0fus", n.hnsw_p50_us);
-  std::snprintf(p99, sizeof(p99), "%.0fus", n.hnsw_p99_us);
-  std::snprintf(r, sizeof(r), "%.4f", n.recall_at_10);
-  std::snprintf(v, sizeof(v), "%.0f", n.mean_visited_nodes);
+  std::snprintf(p50, sizeof(p50), "%.0fus", hnsw_p50_us);
+  std::snprintf(p99, sizeof(p99), "%.0fus", hnsw_p99_us);
+  std::snprintf(r, sizeof(r), "%.4f", recall_at_10);
+  std::snprintf(v, sizeof(v), "%.0f", mean_visited_nodes);
   table.AddRow({"hnsw", p50, p99, r, v});
   std::printf("%s\n", table.Render().c_str());
   std::printf("(p50 speedup %.1fx; %zu vectors, %zu queries, k=%zu, "
               "visited = distance evaluations per search)\n",
-              n.p50_speedup, n.vectors, n.queries, k);
+              p50_speedup, vectors, num_queries, k);
 
-  EmitAnnJson(n);
+  bench::Report report("ann");
+  report.Set("vectors", vectors);
+  report.Set("dim", dim);
+  report.Set("queries", num_queries);
+  report.Set("ann_build_seconds", build_seconds);
+  report.Set("exact_p50_us", exact_p50_us);
+  report.Set("exact_p99_us", exact_p99_us);
+  report.Set("hnsw_p50_us", hnsw_p50_us);
+  report.Set("hnsw_p99_us", hnsw_p99_us);
+  report.Set("p50_speedup", p50_speedup);
+  report.Set("recall_at_10", recall_at_10);
+  report.Set("mean_visited_nodes", mean_visited_nodes);
+  report.Write();
   std::filesystem::remove_all(dir);
 
-  if (n.recall_at_10 < kRecallGate) {
+  if (recall_at_10 < kRecallGate) {
     std::fprintf(stderr, "FAILED: recall@10 %.4f below the %.2f gate\n",
-                 n.recall_at_10, kRecallGate);
+                 recall_at_10, kRecallGate);
     return 1;
   }
-  if (n.p50_speedup < 10.0 && scale != exp::RunScale::kSmoke) {
+  if (p50_speedup < 10.0 && scale != exp::RunScale::kSmoke) {
     // Advisory only: machines differ; the committed baseline + compare
     // script track the trend.
     std::printf("note: p50 speedup %.1fx below the 10x target\n",
-                n.p50_speedup);
+                p50_speedup);
   }
   return 0;
 }

@@ -12,18 +12,15 @@
 // and mmap open beats the copying snapshot load (no parse, no per-fact
 // allocation — the acceptance bar for the serving path).
 //
-// Emits BENCH_serving.json to the cwd (STEDB_BENCH_SERVING_JSON overrides
-// the path; "off" disables), uploaded as a CI artifact next to
-// BENCH_parallel.json.
+// Writes BENCH_serving.json to the working directory, uploaded as a CI
+// artifact next to table9's BENCH_serve.json.
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/api/serving.h"
-#include "src/common/timer.h"
 #include "src/exp/report.h"
 #include "src/exp/static_experiment.h"
 #include "src/fwd/codec.h"
@@ -32,74 +29,6 @@
 #include "src/store/format.h"
 
 using namespace stedb;
-
-namespace {
-
-/// Median-of-`reps` wall-clock seconds for `fn`.
-template <typename Fn>
-double TimeMedian(int reps, Fn&& fn) {
-  std::vector<double> seconds;
-  for (int r = 0; r < reps; ++r) {
-    Timer t;
-    fn();
-    seconds.push_back(t.ElapsedSeconds());
-  }
-  std::sort(seconds.begin(), seconds.end());
-  return seconds[seconds.size() / 2];
-}
-
-struct ServingNumbers {
-  std::string dataset;
-  size_t vectors = 0;
-  size_t dim = 0;
-  double snap_load_s = 0.0;
-  double mmap_open_s = 0.0;
-  double scalar_ns = 0.0;      ///< per lookup, in-memory Embed
-  double batch_ns = 0.0;       ///< per lookup, in-memory EmbedBatch
-  double serving_ns = 0.0;     ///< per lookup, ServingSession zero-copy
-  double serving_batch_ns = 0.0;
-};
-
-void EmitServingJson(const std::vector<ServingNumbers>& rows) {
-  const char* out_env = std::getenv("STEDB_BENCH_SERVING_JSON");
-  std::string path = out_env != nullptr && *out_env != '\0'
-                         ? out_env
-                         : "BENCH_serving.json";
-  if (path == "off" || path == "0") return;
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "BENCH_serving.json: cannot open %s\n",
-                 path.c_str());
-    return;
-  }
-  // The core count is a machine descriptor, not a result: the compare
-  // gate uses it to skip timing comparisons across unlike machines.
-  std::fprintf(f,
-               "{\n  \"bench\": \"serving\",\n"
-               "  \"hardware_concurrency\": %u,\n  \"datasets\": [\n",
-               std::thread::hardware_concurrency());
-  bool first = true;
-  for (const ServingNumbers& r : rows) {
-    std::fprintf(
-        f,
-        "%s    {\"name\": \"%s\", \"vectors\": %zu, \"dim\": %zu,\n"
-        "     \"snapshot_load_seconds\": %.6f, \"mmap_open_seconds\": %.6f,\n"
-        "     \"scalar_ns_per_lookup\": %.1f, \"batch_ns_per_lookup\": %.1f,"
-        " \"serving_ns_per_lookup\": %.1f,"
-        " \"serving_batch_ns_per_lookup\": %.1f,\n"
-        "     \"mmap_vs_snapshot_speedup\": %.2f}",
-        first ? "" : ",\n", r.dataset.c_str(), r.vectors, r.dim,
-        r.snap_load_s, r.mmap_open_s, r.scalar_ns,
-        r.batch_ns, r.serving_ns, r.serving_batch_ns,
-        r.mmap_open_s > 0.0 ? r.snap_load_s / r.mmap_open_s : 0.0);
-    first = false;
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   exp::RunScale scale = exp::ScaleFromEnv();
@@ -119,7 +48,8 @@ int main(int argc, char** argv) {
 
   exp::TableWriter table({"Task", "snap load", "mmap open", "scalar",
                           "batch", "mmap scalar", "mmap batch"});
-  std::vector<ServingNumbers> json_rows;
+  bench::Report report("serving");
+  report.Begin("datasets", '[');
   bool mmap_beats_copy = true;
   for (const std::string& name : bench::SelectDatasets(argc, argv)) {
     data::GeneratedDataset ds =
@@ -139,11 +69,7 @@ int main(int argc, char** argv) {
     const std::string store_dir = dir + "/" + name;
     if (!fwd::CreateForwardStore(store_dir, model).ok()) std::exit(1);
 
-    ServingNumbers row;
-    row.dataset = name;
-    row.vectors = model.num_embedded();
-    row.dim = model.dim();
-    row.snap_load_s = TimeMedian(reps, [&] {
+    const double snap_load_s = bench::TimeMedian(reps, [&] {
       std::string bytes;
       if (!store::ReadFileToString(
                store::EmbeddingStore::SnapshotPath(store_dir), &bytes)
@@ -152,7 +78,7 @@ int main(int argc, char** argv) {
         std::exit(1);
       }
     });
-    row.mmap_open_s = TimeMedian(reps, [&] {
+    const double mmap_open_s = bench::TimeMedian(reps, [&] {
       if (!api::ServingSession::Open(store_dir).ok()) std::exit(1);
     });
 
@@ -169,47 +95,54 @@ int main(int argc, char** argv) {
 
     auto session = std::move(api::ServingSession::Open(store_dir)).value();
     volatile double sink = 0.0;  // defeats dead-code elimination
-    row.scalar_ns = TimeMedian(reps, [&] {
-                      for (db::FactId f : sequence) {
-                        sink = sink + emb.value().Embed(f).value()[0];
-                      }
-                    }) /
-                    static_cast<double>(kLookups) * 1e9;
+    auto ns_per_lookup = [&](auto&& lookups) {
+      return bench::TimeMedian(reps, lookups) /
+             static_cast<double>(kLookups) * 1e9;
+    };
+    const double scalar_ns = ns_per_lookup([&] {
+      for (db::FactId f : sequence) {
+        sink = sink + emb.value().Embed(f).value()[0];
+      }
+    });
     la::Matrix out(sequence.size(), model.dim());
-    row.batch_ns = TimeMedian(reps, [&] {
-                     if (!emb.value().EmbedBatch(sequence, out).ok()) {
-                       std::exit(1);
-                     }
-                     sink = sink + out(0, 0);
-                   }) /
-                   static_cast<double>(kLookups) * 1e9;
-    row.serving_ns = TimeMedian(reps, [&] {
-                       for (db::FactId f : sequence) {
-                         sink = sink + session.Embed(f).value()[0];
-                       }
-                     }) /
-                     static_cast<double>(kLookups) * 1e9;
-    row.serving_batch_ns = TimeMedian(reps, [&] {
-                             if (!session.EmbedBatch(sequence, out).ok()) {
-                               std::exit(1);
-                             }
-                             sink = sink + out(0, 0);
-                           }) /
-                           static_cast<double>(kLookups) * 1e9;
+    const double batch_ns = ns_per_lookup([&] {
+      if (!emb.value().EmbedBatch(sequence, out).ok()) std::exit(1);
+      sink = sink + out(0, 0);
+    });
+    const double serving_ns = ns_per_lookup([&] {
+      for (db::FactId f : sequence) {
+        sink = sink + session.Embed(f).value()[0];
+      }
+    });
+    const double serving_batch_ns = ns_per_lookup([&] {
+      if (!session.EmbedBatch(sequence, out).ok()) std::exit(1);
+      sink = sink + out(0, 0);
+    });
 
-    char scalar_c[32], batch_c[32], serve_c[32], serve_b[32];
-    std::snprintf(scalar_c, sizeof(scalar_c), "%.0fns", row.scalar_ns);
-    std::snprintf(batch_c, sizeof(batch_c), "%.0fns", row.batch_ns);
-    std::snprintf(serve_c, sizeof(serve_c), "%.0fns", row.serving_ns);
-    std::snprintf(serve_b, sizeof(serve_b), "%.0fns",
-                  row.serving_batch_ns);
-    table.AddRow({name, exp::SecondsCell(row.snap_load_s),
-                  exp::SecondsCell(row.mmap_open_s), scalar_c, batch_c,
-                  serve_c, serve_b});
-    if (row.mmap_open_s >= row.snap_load_s) mmap_beats_copy = false;
-    json_rows.push_back(row);
+    char load_c[32], open_c[32], scalar_c[32], batch_c[32], serve_c[32],
+        serve_b[32];
+    std::snprintf(load_c, sizeof(load_c), "%.1fus", snap_load_s * 1e6);
+    std::snprintf(open_c, sizeof(open_c), "%.1fus", mmap_open_s * 1e6);
+    std::snprintf(scalar_c, sizeof(scalar_c), "%.0fns", scalar_ns);
+    std::snprintf(batch_c, sizeof(batch_c), "%.0fns", batch_ns);
+    std::snprintf(serve_c, sizeof(serve_c), "%.0fns", serving_ns);
+    std::snprintf(serve_b, sizeof(serve_b), "%.0fns", serving_batch_ns);
+    table.AddRow({name, load_c, open_c, scalar_c, batch_c, serve_c, serve_b});
+    if (mmap_open_s >= snap_load_s) mmap_beats_copy = false;
+    report.Row(name);
+    report.Set("vectors", model.num_embedded());
+    report.Set("dim", model.dim());
+    report.Set("snapshot_load_seconds", snap_load_s);
+    report.Set("mmap_open_seconds", mmap_open_s);
+    report.Set("scalar_ns_per_lookup", scalar_ns);
+    report.Set("batch_ns_per_lookup", batch_ns);
+    report.Set("serving_ns_per_lookup", serving_ns);
+    report.Set("serving_batch_ns_per_lookup", serving_batch_ns);
+    report.Set("mmap_vs_snapshot_speedup",
+               mmap_open_s > 0.0 ? snap_load_s / mmap_open_s : 0.0);
+    report.End();
     std::printf("%s done (%zu vectors, dim %zu)\n", name.c_str(),
-                row.vectors, row.dim);
+                model.num_embedded(), model.dim());
   }
 
   std::printf("\n%s\n", table.Render().c_str());
@@ -217,7 +150,7 @@ int main(int argc, char** argv) {
               "copying snapshot load)\n",
               kLookups,
               mmap_beats_copy ? "beats" : "DID NOT BEAT — investigate");
-  EmitServingJson(json_rows);
+  report.Write();
   std::filesystem::remove_all(dir);
   return 0;
 }

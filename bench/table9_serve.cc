@@ -11,9 +11,8 @@
 // --connect=HOST:PORT to aim at an externally started stedb_serve
 // instead; fact ids are seeded from its /facts endpoint either way.
 //
-// Results merge into BENCH_serving.json as a "serve" section next to
-// table8's per-lookup numbers (STEDB_BENCH_SERVING_JSON overrides the
-// path; "off" disables), so one artifact carries the whole serving story.
+// Results go to BENCH_serve.json in the working directory, and the
+// /metrics exposition scraped after the load run to BENCH_metrics.prom.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -45,14 +44,6 @@ struct EndpointNumbers {
   double p99_us = 0.0;
   double qps = 0.0;
 };
-
-double Percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  const size_t idx = std::min(
-      sorted_us.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted_us.size())));
-  return sorted_us[idx];
-}
 
 /// Fires `requests` of `make_target()` across `threads` keep-alive
 /// connections and collects per-request latencies.
@@ -95,85 +86,16 @@ EndpointNumbers RunLoad(const std::string& endpoint, const std::string& host,
   }
   std::sort(all.begin(), all.end());
   out.failures = failures.load();
-  out.p50_us = Percentile(all, 0.50);
-  out.p99_us = Percentile(all, 0.99);
+  out.p50_us = bench::Percentile(all, 0.50);
+  out.p99_us = bench::Percentile(all, 0.99);
   out.qps = wall_s > 0.0 ? static_cast<double>(all.size()) / wall_s : 0.0;
   return out;
 }
 
-/// Merges the "serve" section into an existing BENCH_serving.json (written
-/// by table8) or starts a fresh file. String-level merge: the existing
-/// object's trailing "}" is replaced by ",\n  \"serve\": {...}\n}".
-void EmitServeJson(const std::vector<EndpointNumbers>& rows, int threads,
-                   size_t facts) {
-  const char* out_env = std::getenv("STEDB_BENCH_SERVING_JSON");
-  std::string path = out_env != nullptr && *out_env != '\0'
-                         ? out_env
-                         : "BENCH_serving.json";
-  if (path == "off" || path == "0") return;
-
-  std::string serve_section =
-      "  \"serve\": {\n"
-      "    \"hardware_concurrency\": " +
-      std::to_string(std::thread::hardware_concurrency()) +
-      ",\n    \"load_threads\": " + std::to_string(threads) +
-      ",\n    \"served_facts\": " + std::to_string(facts) +
-      ",\n    \"endpoints\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "      {\"name\": \"%s\", \"requests\": %zu,"
-                  " \"failures\": %zu,\n"
-                  "       \"p50_us\": %.1f, \"p99_us\": %.1f,"
-                  " \"qps\": %.1f}%s\n",
-                  rows[i].endpoint.c_str(), rows[i].requests,
-                  rows[i].failures, rows[i].p50_us, rows[i].p99_us,
-                  rows[i].qps, i + 1 < rows.size() ? "," : "");
-    serve_section += buf;
-  }
-  serve_section += "    ]\n  }\n";
-
-  std::string existing;
-  FILE* in = std::fopen(path.c_str(), "r");
-  if (in != nullptr) {
-    char chunk[4096];
-    size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), in)) > 0) {
-      existing.append(chunk, n);
-    }
-    std::fclose(in);
-  }
-  std::string merged;
-  const size_t close = existing.rfind('}');
-  if (close != std::string::npos) {
-    // Drop a previous "serve" section so reruns replace, not accumulate.
-    const size_t old_serve = existing.find("  \"serve\": {");
-    std::string head = existing.substr(
-        0, old_serve != std::string::npos ? old_serve : close);
-    while (!head.empty() &&
-           (head.back() == '\n' || head.back() == ' ' ||
-            head.back() == ',')) {
-      head.pop_back();
-    }
-    merged = head + ",\n" + serve_section + "}\n";
-  } else {
-    merged = "{\n  \"bench\": \"serving\",\n" + serve_section + "}\n";
-  }
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "BENCH_serving.json: cannot open %s\n",
-                 path.c_str());
-    return;
-  }
-  std::fwrite(merged.data(), 1, merged.size(), f);
-  std::fclose(f);
-  std::printf("merged serve section into %s\n", path.c_str());
-}
-
 /// Scrapes GET /metrics after the load run, sanity-checks the Prometheus
 /// exposition (the serve-layer request histograms must have counted the
-/// load we just generated), and writes the text next to the JSON artifact
-/// (STEDB_BENCH_METRICS_PROM overrides the path; "off" disables).
+/// load we just generated), and writes the text to BENCH_metrics.prom
+/// next to the JSON report.
 /// Returns false on scrape or validation failure — the bench fails hard,
 /// so a broken /metrics endpoint can't slip through CI.
 bool ScrapeAndCheckMetrics(const std::string& host, int port) {
@@ -211,15 +133,10 @@ bool ScrapeAndCheckMetrics(const std::string& host, int port) {
     }
   }
 
-  const char* out_env = std::getenv("STEDB_BENCH_METRICS_PROM");
-  std::string path = out_env != nullptr && *out_env != '\0'
-                         ? out_env
-                         : "BENCH_metrics.prom";
-  if (path == "off" || path == "0") return true;
-  FILE* f = std::fopen(path.c_str(), "w");
+  const char* path = "BENCH_metrics.prom";
+  FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "metrics artifact: cannot open %s\n",
-                 path.c_str());
+    std::fprintf(stderr, "metrics artifact: cannot open %s\n", path);
     return false;
   }
   std::fwrite(text.data(), 1, text.size(), f);
@@ -229,7 +146,7 @@ bool ScrapeAndCheckMetrics(const std::string& host, int port) {
               text.size(),
               static_cast<size_t>(
                   std::count(text.begin(), text.end(), '\n')),
-              path.c_str());
+              path);
   return true;
 }
 
@@ -355,6 +272,10 @@ int main(int argc, char** argv) {
 
   exp::TableWriter table({"Endpoint", "requests", "fail", "p50", "p99",
                           "QPS"});
+  bench::Report report("serve");
+  report.Set("load_threads", threads);
+  report.Set("served_facts", facts.size());
+  report.Begin("endpoints", '[');
   bool ok = true;
   for (const EndpointNumbers& r : rows) {
     char p50[32], p99[32], qps[32];
@@ -364,13 +285,20 @@ int main(int argc, char** argv) {
     table.AddRow({r.endpoint, std::to_string(r.requests),
                   std::to_string(r.failures), p50, p99, qps});
     if (r.failures > 0 || r.qps <= 0.0) ok = false;
+    report.Row(r.endpoint);
+    report.Set("requests", r.requests);
+    report.Set("failures", r.failures);
+    report.Set("p50_us", r.p50_us);
+    report.Set("p99_us", r.p99_us);
+    report.Set("qps", r.qps);
+    report.End();
   }
   std::printf("%s\n", table.Render().c_str());
   std::printf("(loopback HTTP including coalescing; topk is the "
               "brute-force φᵀψφ scan over %zu facts)\n",
               facts.size());
 
-  EmitServeJson(rows, threads, facts.size());
+  report.Write();
   if (!ScrapeAndCheckMetrics(host, port)) ok = false;
   if (service != nullptr) service->Stop();
   service.reset();

@@ -7,13 +7,19 @@ Usage:
                              [--fail-on-timing]
                              CANDIDATE.json [CANDIDATE.json ...]
 
-Each candidate report (BENCH_parallel.json / BENCH_store.json /
-BENCH_serving.json / BENCH_ann.json, as emitted by micro_hotpaths /
-table7_store_io / table8_serving + table9_serve / table10_ann) is matched
-to the baseline file of the same name under --baseline-dir and compared
-numeric leaf by numeric leaf. (`recall_at_10` is additionally gated at
-0.95 inside table10_ann itself — a recall drop fails the bench binary
-before the comparison ever runs.)
+Each candidate report is matched to the baseline file of the same name
+under --baseline-dir and compared numeric leaf by numeric leaf. The
+reports and the bench binaries that write them (into their working
+directory, through bench::Report in bench/bench_common.h):
+
+    BENCH_parallel.json   micro_hotpaths
+    BENCH_store.json      table7_store_io
+    BENCH_serving.json    table8_serving
+    BENCH_serve.json      table9_serve
+    BENCH_ann.json        table10_ann
+
+(`recall_at_10` is additionally gated at 0.95 inside table10_ann itself —
+a recall drop fails the bench binary before the comparison ever runs.)
 
 Comparison model: CI and developer machines differ wildly, so wall-clock
 values are only gated by a generous multiplicative tolerance — a metric
@@ -33,8 +39,8 @@ candidate reports record different `hardware_concurrency`, every
 bigger-is-better comparison is SKIPPED instead of judged.
 
 Exit code: structural problems (shape mismatches, metrics that vanished,
-a candidate report that was never produced) always exit 1 — CI blocks on
-those. Timing/ratio regressions are reported but exit 0 unless
+a candidate report that was never produced, a candidate with no baseline
+to compare against) always exit 1 — CI blocks on those. Timing/ratio regressions are reported but exit 0 unless
 --fail-on-timing is given, so noisy-machine wall-clock drift stays a
 trend signal rather than a gate.
 """
@@ -189,8 +195,10 @@ def main():
         with open(candidate_path) as f:
             candidate = json.load(f)
         if not os.path.exists(baseline_path):
+            # A report nothing compares would pass silently forever.
             chunks.append(f"== {name} ==\n  no baseline at {baseline_path} "
                           "— commit one to start tracking")
+            total_structural += 1
             continue
         with open(baseline_path) as f:
             baseline = json.load(f)
