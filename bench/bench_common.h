@@ -70,9 +70,9 @@ inline void PrintHeader(const char* table, const char* description,
               ResolveThreadCount(0));
 }
 
-/// Median-of-`reps` wall-clock seconds for `fn`.
+/// Wall-clock seconds of each of `reps` runs of `fn`, ascending.
 template <typename Fn>
-double TimeMedian(int reps, Fn&& fn) {
+std::vector<double> TimeReps(int reps, Fn&& fn) {
   std::vector<double> seconds;
   for (int r = 0; r < reps; ++r) {
     Timer t;
@@ -80,6 +80,13 @@ double TimeMedian(int reps, Fn&& fn) {
     seconds.push_back(t.ElapsedSeconds());
   }
   std::sort(seconds.begin(), seconds.end());
+  return seconds;
+}
+
+/// Median-of-`reps` wall-clock seconds for `fn`.
+template <typename Fn>
+double TimeMedian(int reps, Fn&& fn) {
+  const std::vector<double> seconds = TimeReps(reps, fn);
   return seconds[seconds.size() / 2];
 }
 

@@ -119,7 +119,7 @@ void BM_PinvSolve(benchmark::State& state) {
     benchmark::DoNotOptimize(la::PseudoInverse(spd));
   }
 }
-BENCHMARK(BM_PinvSolve)->Arg(16)->Arg(32);
+BENCHMARK(BM_PinvSolve)->Arg(16)->Arg(32)->Arg(64)->Arg(100);
 
 void BM_SgnsEpoch(benchmark::State& state) {
   Rng rng(5);

@@ -10,7 +10,10 @@
 //
 // Shape expectations: batch beats scalar (no per-fact Vector allocation),
 // and mmap open beats the copying snapshot load (no parse, no per-fact
-// allocation — the acceptance bar for the serving path).
+// allocation — the acceptance bar for the serving path). The note on the
+// latter is printed per dataset from the reps: "beats" only when every
+// open is faster than every load, "within noise" when their ranges
+// overlap. It never fails the run.
 //
 // Writes BENCH_serving.json to the working directory, uploaded as a CI
 // artifact next to table9's BENCH_serve.json.
@@ -29,6 +32,19 @@
 #include "src/store/format.h"
 
 using namespace stedb;
+
+namespace {
+
+/// How the mmap open compares with the copying snapshot load, from the
+/// seconds of their reps (ascending).
+const char* OpenVersusLoad(const std::vector<double>& open_s,
+                           const std::vector<double>& load_s) {
+  if (open_s.back() < load_s.front()) return "beats";
+  if (open_s.front() > load_s.back()) return "is slower than";
+  return "is within noise of";
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   exp::RunScale scale = exp::ScaleFromEnv();
@@ -50,7 +66,6 @@ int main(int argc, char** argv) {
                           "batch", "mmap scalar", "mmap batch"});
   bench::Report report("serving");
   report.Begin("datasets", '[');
-  bool mmap_beats_copy = true;
   for (const std::string& name : bench::SelectDatasets(argc, argv)) {
     data::GeneratedDataset ds =
         bench::MakeDatasetOrDie(name, mcfg.data_scale);
@@ -69,7 +84,7 @@ int main(int argc, char** argv) {
     const std::string store_dir = dir + "/" + name;
     if (!fwd::CreateForwardStore(store_dir, model).ok()) std::exit(1);
 
-    const double snap_load_s = bench::TimeMedian(reps, [&] {
+    const std::vector<double> snap_load_reps = bench::TimeReps(reps, [&] {
       std::string bytes;
       if (!store::ReadFileToString(
                store::EmbeddingStore::SnapshotPath(store_dir), &bytes)
@@ -78,9 +93,11 @@ int main(int argc, char** argv) {
         std::exit(1);
       }
     });
-    const double mmap_open_s = bench::TimeMedian(reps, [&] {
+    const std::vector<double> mmap_open_reps = bench::TimeReps(reps, [&] {
       if (!api::ServingSession::Open(store_dir).ok()) std::exit(1);
     });
+    const double snap_load_s = bench::Percentile(snap_load_reps, 0.5);
+    const double mmap_open_s = bench::Percentile(mmap_open_reps, 0.5);
 
     // Lookup throughput over a shuffled, repeating fact sequence.
     std::vector<db::FactId> facts;
@@ -128,7 +145,6 @@ int main(int argc, char** argv) {
     std::snprintf(serve_c, sizeof(serve_c), "%.0fns", serving_ns);
     std::snprintf(serve_b, sizeof(serve_b), "%.0fns", serving_batch_ns);
     table.AddRow({name, load_c, open_c, scalar_c, batch_c, serve_c, serve_b});
-    if (mmap_open_s >= snap_load_s) mmap_beats_copy = false;
     report.Row(name);
     report.Set("vectors", model.num_embedded());
     report.Set("dim", model.dim());
@@ -141,15 +157,16 @@ int main(int argc, char** argv) {
     report.Set("mmap_vs_snapshot_speedup",
                mmap_open_s > 0.0 ? snap_load_s / mmap_open_s : 0.0);
     report.End();
-    std::printf("%s done (%zu vectors, dim %zu)\n", name.c_str(),
-                model.num_embedded(), model.dim());
+    std::printf("%s done (%zu vectors, dim %zu); mmap open %s the copying "
+                "snapshot load (%d reps each: %.1f-%.1fus vs %.1f-%.1fus)\n",
+                name.c_str(), model.num_embedded(), model.dim(),
+                OpenVersusLoad(mmap_open_reps, snap_load_reps), reps,
+                mmap_open_reps.front() * 1e6, mmap_open_reps.back() * 1e6,
+                snap_load_reps.front() * 1e6, snap_load_reps.back() * 1e6);
   }
 
   std::printf("\n%s\n", table.Render().c_str());
-  std::printf("(per-lookup times over %zu random lookups; mmap open %s the "
-              "copying snapshot load)\n",
-              kLookups,
-              mmap_beats_copy ? "beats" : "DID NOT BEAT — investigate");
+  std::printf("(per-lookup times over %zu random lookups)\n", kLookups);
   report.Write();
   std::filesystem::remove_all(dir);
   return 0;

@@ -88,6 +88,85 @@ struct ScalarPolicy {
   static double ReduceTree(Vec v) {
     return (v.lane[0] + v.lane[2]) + (v.lane[1] + v.lane[3]);
   }
+
+  // Lane masks for the Jacobi sweep. The compares are the C++ operators,
+  // false on a NaN operand like the AVX2 policy's ordered predicates.
+  struct Mask {
+    bool lane[internal::kLaneWidth];
+  };
+
+  static Vec Abs(Vec a) {
+    Vec v;
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) {
+      v.lane[l] = std::fabs(a.lane[l]);
+    }
+    return v;
+  }
+  static Vec Reverse(Vec a) {
+    return Vec{{a.lane[3], a.lane[2], a.lane[1], a.lane[0]}};
+  }
+  static Mask CmpEq(Vec a, Vec b) {
+    Mask m;
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) {
+      m.lane[l] = a.lane[l] == b.lane[l];
+    }
+    return m;
+  }
+  static Mask CmpLt(Vec a, Vec b) {
+    Mask m;
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) {
+      m.lane[l] = a.lane[l] < b.lane[l];
+    }
+    return m;
+  }
+  static Mask CmpLe(Vec a, Vec b) {
+    Mask m;
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) {
+      m.lane[l] = a.lane[l] <= b.lane[l];
+    }
+    return m;
+  }
+  static Mask MaskAnd(Mask a, Mask b) {
+    Mask m;
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) {
+      m.lane[l] = a.lane[l] && b.lane[l];
+    }
+    return m;
+  }
+  /// a and not b.
+  static Mask MaskAndNot(Mask a, Mask b) {
+    Mask m;
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) {
+      m.lane[l] = a.lane[l] && !b.lane[l];
+    }
+    return m;
+  }
+  /// Lanes 0 .. r - 1 set; r in [1, 4].
+  static Mask FirstLanes(size_t r) {
+    Mask m;
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) m.lane[l] = l < r;
+    return m;
+  }
+  static Mask ReverseMask(Mask a) {
+    return Mask{{a.lane[3], a.lane[2], a.lane[1], a.lane[0]}};
+  }
+  static bool AnyLane(Mask a) {
+    return a.lane[0] || a.lane[1] || a.lane[2] || a.lane[3];
+  }
+  /// m ? a : b, lane by lane.
+  static Vec Select(Mask m, Vec a, Vec b) {
+    Vec v;
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) {
+      v.lane[l] = m.lane[l] ? a.lane[l] : b.lane[l];
+    }
+    return v;
+  }
+  /// Stores the lanes of m; the others leave memory untouched.
+  static void MaskStore(double* p, Mask m, Vec v) {
+    for (size_t l = 0; l < internal::kLaneWidth; ++l) {
+      if (m.lane[l]) p[l] = v.lane[l];
+    }
+  }
 };
 
 double ScalarDot(const double* a, const double* b, size_t n) {
@@ -133,6 +212,10 @@ void ScalarAddOuter(double* m, size_t rows, size_t cols, const double* x,
                     const double* y) {
   internal::AddOuterImpl<ScalarPolicy>(m, rows, cols, x, y);
 }
+double ScalarJacobiSweep(double* w, double* v, size_t m, size_t n, size_t ld,
+                         double tol) {
+  return internal::JacobiSweepImpl<ScalarPolicy>(w, v, m, n, ld, tol);
+}
 
 constexpr KernelOps kScalarOps = {
     SimdPath::kScalar,
@@ -148,6 +231,7 @@ constexpr KernelOps kScalarOps = {
     &ScalarMatVec,
     &ScalarBilinear,
     &ScalarAddOuter,
+    &ScalarJacobiSweep,
 };
 
 /// The resolved active table. Published once by ResolveActive(); tests

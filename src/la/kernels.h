@@ -4,10 +4,10 @@
 // Runtime-dispatched SIMD kernels for the `la::` hot loops.
 //
 // Every reduction-shaped primitive in this repo (Dot, Norm2, the φᵀψφ
-// bilinear scorer, MatVec) and every element-wise update (Axpy, Scale,
-// ScaleAdd, the Adam step, row copies, rank-1 AddOuter) funnels through
-// the function table returned by `Kernels()`. The table is resolved
-// exactly once per process:
+// bilinear scorer, MatVec), every element-wise update (Axpy, Scale,
+// ScaleAdd, the Adam step, row copies, rank-1 AddOuter) and the sweep of
+// the Jacobi SVD funnel through the function table returned by
+// `Kernels()`. The table is resolved exactly once per process:
 //
 //   * `STEDB_SIMD=scalar` forces the portable path;
 //   * `STEDB_SIMD=avx2` forces AVX2+FMA and aborts with an actionable
@@ -26,7 +26,9 @@
 //
 // Adding a new ISA path (e.g. AVX-512 or NEON): write a policy with the
 // primitives kernels_impl.h needs (4-lane Load/Store/partial variants,
-// Add/Sub/Mul/Div/Sqrt, single-rounding Fma, the fixed ReduceTree),
+// Add/Sub/Mul/Div/Sqrt/Abs, single-rounding Fma, the fixed ReduceTree,
+// and for the Jacobi sweep the lane reverse, the ordered compares that
+// yield a Mask, Select and the masked store),
 // instantiate it in its own translation unit compiled with the ISA flags
 // for that file only plus -ffp-contract=off (otherwise the compiler may
 // fuse a Mul feeding an Add into one rounding, which the scalar policy
@@ -73,7 +75,13 @@ struct KernelOps {
                      size_t rows, size_t cols);
   void (*add_outer)(double* m, size_t rows, size_t cols, const double* x,
                     const double* y);
+  double (*jacobi_sweep)(double* w, double* v, size_t m, size_t n, size_t ld,
+                         double tol);
 };
+
+/// Columns JacobiSweep reads, and never writes, on each side of a row of
+/// its working copies.
+inline constexpr size_t kJacobiPad = 2;
 
 /// The active table, resolved once at first use (thread-safe).
 const KernelOps& Kernels();
@@ -140,6 +148,19 @@ inline double BilinearForm(const double* x, const double* m, const double* y,
 inline void AddOuter(double* m, size_t rows, size_t cols, const double* x,
                      const double* y) {
   Kernels().add_outer(m, rows, cols, x, y);
+}
+/// One sweep of one-sided Jacobi (Hestenes) over the n columns of an
+/// m x n W, each pair's rotation applied to W and accumulated into the
+/// n x n V. Both are element-major: element i of column j is
+/// w[i * ld + j] (v[i * ld + j]), and every row must be readable from
+/// column -kJacobiPad to n - 1 + kJacobiPad, so ld >= n + 2 * kJacobiPad.
+/// Returns the sweep's off: the largest |gamma| / sqrt(alpha * beta) over
+/// the pairs whose columns are both nonzero. A pair rotates unless
+/// |gamma| <= tol * sqrt(alpha * beta). W, V and off are those of the
+/// cyclic-by-rows loop over p < q, bit for bit (see JacobiSweepImpl).
+inline double JacobiSweep(double* w, double* v, size_t m, size_t n, size_t ld,
+                          double tol) {
+  return Kernels().jacobi_sweep(w, v, m, n, ld, tol);
 }
 
 namespace internal {

@@ -65,8 +65,32 @@ struct Avx2Policy {
     return _mm_cvtsd_f64(_mm_add_sd(pair, swap));
   }
 
+  // Lane masks for the Jacobi sweep: all-ones lanes where a compare held.
+  // The ordered, quiet predicates are false on a NaN operand, like the
+  // C++ operators of the scalar policy.
+  using Mask = __m256d;
+
+  static Vec Abs(Vec a) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a); }
+  static Vec Reverse(Vec a) { return _mm256_permute4x64_pd(a, 0x1B); }
+  static Mask CmpEq(Vec a, Vec b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
+  static Mask CmpLt(Vec a, Vec b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+  static Mask CmpLe(Vec a, Vec b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
+  static Mask MaskAnd(Mask a, Mask b) { return _mm256_and_pd(a, b); }
+  /// a and not b.
+  static Mask MaskAndNot(Mask a, Mask b) { return _mm256_andnot_pd(b, a); }
+  /// Lanes 0 .. r - 1 set; r in [1, 4].
+  static Mask FirstLanes(size_t r) { return _mm256_castsi256_pd(TailMask(r)); }
+  static Mask ReverseMask(Mask a) { return _mm256_permute4x64_pd(a, 0x1B); }
+  static bool AnyLane(Mask a) { return _mm256_movemask_pd(a) != 0; }
+  /// m ? a : b, lane by lane.
+  static Vec Select(Mask m, Vec a, Vec b) { return _mm256_blendv_pd(b, a, m); }
+  /// Stores the lanes of m; the others leave memory untouched.
+  static void MaskStore(double* p, Mask m, Vec v) {
+    _mm256_maskstore_pd(p, _mm256_castpd_si256(m), v);
+  }
+
  private:
-  /// Lane l participates iff l < r (sign bit set); r in [1, 3].
+  /// Lane l participates iff l < r (sign bit set); r in [1, 4].
   static __m256i TailMask(size_t r) {
     const __m256i lanes = _mm256_setr_epi64x(0, 1, 2, 3);
     return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(r)),
@@ -118,6 +142,10 @@ void Avx2AddOuter(double* m, size_t rows, size_t cols, const double* x,
                   const double* y) {
   internal::AddOuterImpl<Avx2Policy>(m, rows, cols, x, y);
 }
+double Avx2JacobiSweep(double* w, double* v, size_t m, size_t n, size_t ld,
+                       double tol) {
+  return internal::JacobiSweepImpl<Avx2Policy>(w, v, m, n, ld, tol);
+}
 
 constexpr KernelOps kAvx2Ops = {
     SimdPath::kAvx2,
@@ -133,6 +161,7 @@ constexpr KernelOps kAvx2Ops = {
     &Avx2MatVec,
     &Avx2Bilinear,
     &Avx2AddOuter,
+    &Avx2JacobiSweep,
 };
 
 }  // namespace

@@ -30,12 +30,16 @@
 // Element-wise kernels (Axpy / Scale / ScaleAdd / Adam / CopyRow /
 // AddOuter) have no cross-element order at all; they only need each
 // element's op sequence to match, which the shared template guarantees.
+// The Jacobi sweep runs four column pairs per vector, one pair per lane;
+// each lane's reductions are sequential over the rows, exactly the scalar
+// loop's (see JacobiSweepImpl).
 //
 // IMPORTANT for maintainers: never instantiate a policy outside its own
 // translation unit. kernels.cc instantiates ScalarPolicy only and
 // kernels_avx2.cc Avx2Policy only, so no AVX2 instruction can leak into a
 // TU (or linker-chosen COMDAT) that must run on non-AVX2 hardware.
 
+#include <algorithm>
 #include <cstddef>
 
 #include "src/la/kernels.h"
@@ -388,6 +392,107 @@ double BilinearImpl(const double* x, const double* m, const double* y,
     acc = P::ScalarFma(xi, DotImpl<P>(m + i * cols, y, cols), acc);
   }
   return acc;
+}
+
+// ---- One-sided Jacobi sweep ---------------------------------------------
+
+/// Rotates the columns of one lane group through the rows of a working
+/// copy: lane l turns columns p + l and q - l into c wp - s wq and
+/// s wp + c wq, each product and each sum rounded on its own. Only the
+/// lanes of `mask` are stored. A partial group's p and q loads can
+/// overlap, a column that one lane owns showing up in an idle lane of the
+/// other load; the masked stores leave it to its owner.
+template <typename P>
+[[gnu::always_inline]] inline void RotateLanes(double* x, size_t rows,
+                                               size_t ld, size_t p, size_t q,
+                                               typename P::Vec c,
+                                               typename P::Vec s,
+                                               typename P::Mask mask) {
+  using Vec = typename P::Vec;
+  const typename P::Mask q_mask = P::ReverseMask(mask);
+  for (size_t i = 0; i < rows; ++i) {
+    double* xp_at = x + i * ld + p;
+    double* xq_at = x + i * ld + q - (kLaneWidth - 1);
+    const Vec xp = P::Load(xp_at);
+    const Vec xq = P::Reverse(P::Load(xq_at));
+    P::MaskStore(xp_at, mask, P::Sub(P::Mul(c, xp), P::Mul(s, xq)));
+    P::MaskStore(xq_at, q_mask,
+                 P::Reverse(P::Add(P::Mul(s, xp), P::Mul(c, xq))));
+  }
+}
+
+/// One sweep of the cyclic-by-rows one-sided Jacobi over p < q, with the
+/// pairs run in wavefront order: pair (p, q) at step p + q, the pairs of a
+/// step four to a vector. Lane l of a group holds pair (p + l, q - l):
+/// the p columns are one load, their descending partners one load and a
+/// lane reverse. The bytes are those of the p-then-q loop because
+///   * column j takes part in (0, j), ..., (j - 1, j), (j, j + 1), ...,
+///     (j, n - 1) in that order, and those pairs fall on steps j, ...,
+///     2j - 1, 2j + 1, ..., j + n - 1, which strictly increase: every
+///     column meets the same rotations in the same order;
+///   * two pairs of one step never share a column (p + q = p' + q' with
+///     p != p' makes them disjoint), so their order within a step is free;
+///   * each lane performs the loop's IEEE operations on its two columns:
+///     alpha, beta and gamma summed over the rows in order, each product
+///     and sum rounded separately (no fma), then the loop's tests;
+///   * off is a maximum, which no order changes (no ratio is -0.0, and a
+///     NaN ratio never enters it).
+template <typename P>
+double JacobiSweepImpl(double* w, double* v, size_t m, size_t n, size_t ld,
+                       double tol) {
+  using Vec = typename P::Vec;
+  using Mask = typename P::Mask;
+  const Vec zero = P::Zero();
+  const Vec one = P::Broadcast(1.0);
+  const Vec vtol = P::Broadcast(tol);
+  Vec off = zero;
+  // Step T pairs p with T - p for p < T - p <= n - 1; T runs 1 .. 2n - 3.
+  for (size_t step = 1; step + 3 <= 2 * n; ++step) {
+    const size_t p_end = (step + 1) / 2;
+    for (size_t p = step < n ? 0 : step - (n - 1); p < p_end;
+         p += kLaneWidth) {
+      const size_t q = step - p;
+      const Mask group = P::FirstLanes(std::min(kLaneWidth, p_end - p));
+      Vec alpha = zero, beta = zero, gamma = zero;
+      for (size_t i = 0; i < m; ++i) {
+        const double* row = w + i * ld;
+        const Vec wp = P::Load(row + p);
+        const Vec wq = P::Reverse(P::Load(row + q - (kLaneWidth - 1)));
+        alpha = P::Add(alpha, P::Mul(wp, wp));
+        beta = P::Add(beta, P::Mul(wq, wq));
+        gamma = P::Add(gamma, P::Mul(wp, wq));
+      }
+      // The loop's tests, lane by lane: a zero column skips the pair; off
+      // takes the ratio as std::max(off, ratio) does, so a NaN ratio
+      // leaves it; the pair rotates unless |gamma| <= tol * sqrt(alpha
+      // beta), so a NaN comparison rotates.
+      const Mask live = P::MaskAndNot(
+          P::MaskAndNot(group, P::CmpEq(alpha, zero)), P::CmpEq(beta, zero));
+      const Vec root = P::Sqrt(P::Mul(alpha, beta));
+      const Vec abs_gamma = P::Abs(gamma);
+      const Vec ratio = P::Div(abs_gamma, root);
+      off = P::Select(P::MaskAnd(live, P::CmpLt(off, ratio)), ratio, off);
+      const Mask rotate =
+          P::MaskAndNot(live, P::CmpLe(abs_gamma, P::Mul(vtol, root)));
+      if (!P::AnyLane(rotate)) continue;
+      // The rotation that zeroes the (p, q) entry of W^T W; zeta >= 0
+      // fails for a NaN zeta, which takes the -1.
+      const Vec zeta =
+          P::Div(P::Sub(beta, alpha), P::Mul(P::Broadcast(2.0), gamma));
+      const Vec sign = P::Select(P::CmpLe(zero, zeta), one, P::Broadcast(-1.0));
+      const Vec t = P::Div(
+          sign, P::Add(P::Abs(zeta), P::Sqrt(P::Add(one, P::Mul(zeta, zeta)))));
+      const Vec c = P::Div(one, P::Sqrt(P::Add(one, P::Mul(t, t))));
+      const Vec s = P::Mul(c, t);
+      RotateLanes<P>(w, m, ld, p, q, c, s, rotate);
+      RotateLanes<P>(v, n, ld, p, q, c, s, rotate);
+    }
+  }
+  double lanes[kLaneWidth];
+  P::Store(lanes, off);
+  double out = 0.0;
+  for (const double lane : lanes) out = std::max(out, lane);
+  return out;
 }
 
 }  // namespace stedb::la::internal

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/la/kernels.h"
 
@@ -16,10 +17,9 @@ struct SvdRows {
   Matrix vt;
 };
 
-/// One-sided Jacobi on row-major transposed working copies: column j of W
-/// and of V is row j of `wt` and `vt`, so every loop walks contiguous
-/// memory. The operations and their order are those of the column walk
-/// over W and V themselves, so the bytes are the same.
+/// One-sided Jacobi on element-major working copies of W and V, one
+/// JacobiSweep per sweep. The columns are read back as rows of `wt` and
+/// `vt`, so the norms, U and the sort walk contiguous memory.
 Result<SvdRows> JacobiRows(const Matrix& a, int max_sweeps, double tol) {
   if (a.rows() == 0 || a.cols() == 0) {
     return Status::InvalidArgument("SVD of an empty matrix");
@@ -27,53 +27,33 @@ Result<SvdRows> JacobiRows(const Matrix& a, int max_sweeps, double tol) {
   // Work on the "tall" orientation: m >= n. If the input is wide, decompose
   // the transpose and swap U/V at the end.
   const bool transposed = a.rows() < a.cols();
-  Matrix wt = transposed ? a : a.Transposed();
-  const size_t n = wt.rows();
-  const size_t m = wt.cols();
+  const size_t m = transposed ? a.cols() : a.rows();
+  const size_t n = transposed ? a.rows() : a.cols();
+
+  // Element (i, j) of W at w[i * ld + j], of V at v[i * ld + j], with
+  // kJacobiPad zero columns on both sides of every row.
+  const size_t ld = n + 2 * kJacobiPad;
+  std::vector<double> w_buf(m * ld, 0.0);
+  std::vector<double> v_buf(n * ld, 0.0);
+  double* w = w_buf.data() + kJacobiPad;
+  double* v = v_buf.data() + kJacobiPad;
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      w[i * ld + j] = transposed ? a(j, i) : a(i, j);
+    }
+  }
+  for (size_t j = 0; j < n; ++j) v[j * ld + j] = 1.0;
 
   // Orthogonalize the columns of W by plane rotations, accumulating them
   // into V.
-  Matrix vt = Matrix::Identity(n);
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    double off = 0.0;
-    for (size_t p = 0; p + 1 < n; ++p) {
-      for (size_t q = p + 1; q < n; ++q) {
-        double* wp_col = wt.RowPtr(p);
-        double* wq_col = wt.RowPtr(q);
-        double alpha = 0.0, beta = 0.0, gamma = 0.0;
-        for (size_t i = 0; i < m; ++i) {
-          const double wp = wp_col[i];
-          const double wq = wq_col[i];
-          alpha += wp * wp;
-          beta += wq * wq;
-          gamma += wp * wq;
-        }
-        if (alpha == 0.0 || beta == 0.0) continue;
-        off = std::max(off, std::fabs(gamma) / std::sqrt(alpha * beta));
-        if (std::fabs(gamma) <= tol * std::sqrt(alpha * beta)) continue;
-        // Jacobi rotation that zeroes the (p, q) entry of W^T W.
-        const double zeta = (beta - alpha) / (2.0 * gamma);
-        const double t = (zeta >= 0.0 ? 1.0 : -1.0) /
-                         (std::fabs(zeta) + std::sqrt(1.0 + zeta * zeta));
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = c * t;
-        for (size_t i = 0; i < m; ++i) {
-          const double wp = wp_col[i];
-          const double wq = wq_col[i];
-          wp_col[i] = c * wp - s * wq;
-          wq_col[i] = s * wp + c * wq;
-        }
-        double* vp_col = vt.RowPtr(p);
-        double* vq_col = vt.RowPtr(q);
-        for (size_t i = 0; i < n; ++i) {
-          const double vp = vp_col[i];
-          const double vq = vq_col[i];
-          vp_col[i] = c * vp - s * vq;
-          vq_col[i] = s * vp + c * vq;
-        }
-      }
-    }
-    if (off <= tol) break;
+    if (JacobiSweep(w, v, m, n, ld, tol) <= tol) break;
+  }
+  Matrix wt(n, m);
+  Matrix vt(n, n);
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t i = 0; i < m; ++i) wt(j, i) = w[i * ld + j];
+    for (size_t i = 0; i < n; ++i) vt(j, i) = v[i * ld + j];
   }
 
   // Column norms are the singular values; normalize columns of W into U.

@@ -20,6 +20,10 @@ inline constexpr double kJacobiTol = 1e-12;
 
 /// Computes the thin SVD by one-sided Jacobi rotations (Hestenes method).
 /// Robust for the modest sizes used here (d <= a few hundred columns).
+/// Each sweep is one la::JacobiSweep, which runs the pairs (p, q) in
+/// wavefront order (step p + q, four pairs per vector) and gives the
+/// bytes of the cyclic-by-rows loop over p < q; ReferenceJacobiSvd in
+/// tests/svd_test.cc keeps that loop as the byte-level reference.
 Result<Svd> JacobiSvd(const Matrix& a, int max_sweeps = kJacobiMaxSweeps,
                       double tol = kJacobiTol);
 

@@ -410,7 +410,8 @@ uint32_t ArrivalStreamCrc(size_t dim, int threads) {
 /// rewritten, so it holds every later change to the extension arithmetic
 /// to those bytes — at any thread count and on every runnable SIMD path.
 /// dim 7 runs every reduction as one lane group plus a partial one; dim 18
-/// adds a full 16-element block before the partial group.
+/// adds a full 16-element block before the partial group; dim 32, the
+/// default scale's d, runs the Jacobi sweep's steps up to 16 pairs wide.
 TEST(ExtenderParallelTest, ArrivalStreamBytesMatchPinnedCrc) {
   stedb::testing::SimdPathGuard guard;
   std::vector<la::SimdPath> paths = {la::SimdPath::kScalar};
@@ -418,7 +419,7 @@ TEST(ExtenderParallelTest, ArrivalStreamBytesMatchPinnedCrc) {
   const struct {
     size_t dim;
     uint32_t crc;
-  } pins[] = {{7, 2951757861u}, {18, 2620246205u}};
+  } pins[] = {{7, 2951757861u}, {18, 2620246205u}, {32, 3036213831u}};
   for (la::SimdPath path : paths) {
     la::internal::ForceSimdPathForTest(path);
     for (const auto& pin : pins) {

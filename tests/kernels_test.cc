@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -539,6 +542,205 @@ TEST(KernelsReferenceTest, AddOuterSkipsZeroCoefficientRows) {
     ops->add_outer(m.data(), 2, 3, x, y);
     EXPECT_TRUE(BitEq(m, {-0.0, -0.0, -0.0, 2.0, 6.0, 10.0})) << ops->name;
   }
+}
+
+// ---- Jacobi sweep against the cyclic-by-rows loop ---------------------
+// The sweep kernel runs its pairs in wavefront order, four to a vector;
+// one pass of the plain p-then-q loop on the same working copies is the
+// byte-level reference for W, V and off.
+
+/// Element-major working copies as la::JacobiSweep takes them: element
+/// (i, j) of W at w[kJacobiPad + i * ld + j] (of V likewise), with NaN
+/// padding around every row, which no result may depend on and no store
+/// may touch.
+struct SweepCopies {
+  size_t m, n, ld;
+  std::vector<double> w, v;
+
+  SweepCopies(size_t rows, size_t cols)
+      : m(rows),
+        n(cols),
+        ld(cols + 2 * kJacobiPad),
+        w(rows * ld, std::nan("")),
+        v(cols * ld, std::nan("")) {
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) V()[i * ld + j] = i == j ? 1.0 : 0.0;
+    }
+  }
+  double* W() { return w.data() + kJacobiPad; }
+  double* V() { return v.data() + kJacobiPad; }
+  double Sweep(const KernelOps& ops, double tol) {
+    return ops.jacobi_sweep(W(), V(), m, n, ld, tol);
+  }
+};
+
+/// What the reference sweep did with its pairs.
+struct SweepCounts {
+  size_t rotated = 0;
+  size_t below_tol = 0;
+  size_t nan_ratio = 0;
+  size_t nan_gamma = 0;
+
+  void Add(const SweepCounts& o) {
+    rotated += o.rotated;
+    below_tol += o.below_tol;
+    nan_ratio += o.nan_ratio;
+    nan_gamma += o.nan_gamma;
+  }
+};
+
+/// One sweep of the loop JacobiSweep replaced, over the same copies.
+double ReferenceSweep(SweepCopies& c, double tol, SweepCounts* counts) {
+  double* w = c.W();
+  double* v = c.V();
+  double off = 0.0;
+  for (size_t p = 0; p + 1 < c.n; ++p) {
+    for (size_t q = p + 1; q < c.n; ++q) {
+      double alpha = 0.0, beta = 0.0, gamma = 0.0;
+      for (size_t i = 0; i < c.m; ++i) {
+        const double wp = w[i * c.ld + p];
+        const double wq = w[i * c.ld + q];
+        alpha += wp * wp;
+        beta += wq * wq;
+        gamma += wp * wq;
+      }
+      if (alpha == 0.0 || beta == 0.0) continue;
+      const double ratio = std::fabs(gamma) / std::sqrt(alpha * beta);
+      counts->nan_ratio += std::isnan(ratio);
+      counts->nan_gamma += std::isnan(gamma);
+      off = std::max(off, ratio);
+      if (std::fabs(gamma) <= tol * std::sqrt(alpha * beta)) {
+        ++counts->below_tol;
+        continue;
+      }
+      ++counts->rotated;
+      const double zeta = (beta - alpha) / (2.0 * gamma);
+      const double t = (zeta >= 0.0 ? 1.0 : -1.0) /
+                       (std::fabs(zeta) + std::sqrt(1.0 + zeta * zeta));
+      const double cs = 1.0 / std::sqrt(1.0 + t * t);
+      const double sn = cs * t;
+      auto rotate = [&](double* x, size_t rows) {
+        for (size_t i = 0; i < rows; ++i) {
+          const double xp = x[i * c.ld + p];
+          const double xq = x[i * c.ld + q];
+          x[i * c.ld + p] = cs * xp - sn * xq;
+          x[i * c.ld + q] = sn * xp + cs * xq;
+        }
+      };
+      rotate(w, c.m);
+      rotate(v, c.n);
+    }
+  }
+  return off;
+}
+
+/// The inputs of one sweep case.
+enum class SweepInput { kRandom, kZeroColumns, kLooseTol, kInf, kInfTimesZero };
+
+SweepCopies SweepCase(Rng& rng, size_t m, size_t n, SweepInput kind) {
+  SweepCopies c(m, n);
+  auto at = [&](size_t i, size_t j) -> double& {
+    return c.W()[i * c.ld + j];
+  };
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) at(i, j) = rng.NextGaussian(0.0, 1.0);
+  }
+  if (kind == SweepInput::kZeroColumns) {
+    // Every third column, so zero lanes sit beside live ones in a group.
+    for (size_t j = rng.NextUint(3); j < n; j += 3) {
+      for (size_t i = 0; i < m; ++i) at(i, j) = 0.0;
+    }
+  } else if (kind == SweepInput::kInf || kind == SweepInput::kInfTimesZero) {
+    // An inf column pairs with a ratio of inf / inf, a NaN that off must
+    // not take, and stays put (inf <= tol * inf). A -0.0 in its row makes
+    // gamma NaN instead: the NaN comparison rotates, and zeta is NaN.
+    const size_t i = rng.NextUint(m);
+    at(i, rng.NextUint(n)) = std::numeric_limits<double>::infinity();
+    if (kind == SweepInput::kInfTimesZero) {
+      at(i, rng.NextUint(n)) = -0.0;
+      at(i, rng.NextUint(n)) = -0.0;
+    }
+  }
+  return c;
+}
+
+/// memcmp equality of two buffers.
+bool SameMemory(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Bitwise equality, except that any NaN matches any NaN.
+::testing::AssertionResult BitEqUpToNaN(const std::vector<double>& a,
+                                        const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "size mismatch";
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (Bits(a[i]) != Bits(b[i]) && !(std::isnan(a[i]) && std::isnan(b[i]))) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << BitEq(a[i], b[i]).message();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// n and m from 1 to 40: steps from one pair up to 20, full and partial
+/// groups, and partial groups whose p and q loads overlap. Both paths
+/// must match the loop's W, V and off bit for bit, the NaN padding
+/// included. One exception: a NaN zeta makes |zeta| + sqrt(1 + zeta^2)
+/// add a NaN to a NaN of the other sign, and x86 keeps whichever operand
+/// the compiler put first, so after an inf * -0.0 a NaN matches any NaN.
+TEST(KernelsReferenceTest, JacobiSweepMatchesTheCyclicLoop) {
+  Rng rng(65536);
+  SweepCounts total[5];
+  for (const SweepInput kind :
+       {SweepInput::kRandom, SweepInput::kZeroColumns, SweepInput::kLooseTol,
+        SweepInput::kInf, SweepInput::kInfTimesZero}) {
+    // 0.3 sits inside the spread of |cos| between random columns, so a
+    // group holds lanes that rotate beside lanes that skip.
+    const double tol = kind == SweepInput::kLooseTol ? 0.3 : 1e-12;
+    const bool any_nan = kind == SweepInput::kInfTimesZero;
+    for (size_t n = 1; n <= 40; ++n) {
+      for (size_t m = 1; m <= 40; ++m) {
+        const SweepCopies init = SweepCase(rng, m, n, kind);
+        SweepCopies want = init;
+        SweepCounts counts;
+        const double want_off = ReferenceSweep(want, tol, &counts);
+        total[static_cast<int>(kind)].Add(counts);
+        std::vector<SweepCopies> got;
+        std::vector<double> got_off;
+        for (const KernelOps* ops : RunnableTables()) {
+          got.push_back(init);
+          got_off.push_back(got.back().Sweep(*ops, tol));
+          const std::string where = std::string(ops->name) + " kind " +
+                                    std::to_string(static_cast<int>(kind)) +
+                                    " " + std::to_string(m) + "x" +
+                                    std::to_string(n);
+          EXPECT_TRUE(BitEq(got_off.back(), want_off)) << where << " off";
+          if (any_nan) {
+            EXPECT_TRUE(BitEqUpToNaN(got.back().w, want.w)) << where << " W";
+            EXPECT_TRUE(BitEqUpToNaN(got.back().v, want.v)) << where << " V";
+          } else {
+            EXPECT_TRUE(BitEq(got.back().w, want.w)) << where << " W";
+            EXPECT_TRUE(BitEq(got.back().v, want.v)) << where << " V";
+          }
+        }
+        // Scalar against AVX2 directly, byte for byte.
+        for (size_t k = 1; k < got.size() && !any_nan; ++k) {
+          EXPECT_TRUE(SameMemory(got[k].w, got[0].w));
+          EXPECT_TRUE(SameMemory(got[k].v, got[0].v));
+          EXPECT_EQ(std::memcmp(&got_off[k], &got_off[0], sizeof(double)), 0);
+        }
+      }
+    }
+  }
+  // Each input kind reaches the case it is there for.
+  const SweepCounts& loose = total[static_cast<int>(SweepInput::kLooseTol)];
+  EXPECT_GT(loose.rotated, 1000u);
+  EXPECT_GT(loose.below_tol, 1000u);
+  EXPECT_GT(total[static_cast<int>(SweepInput::kInf)].nan_ratio, 1000u);
+  EXPECT_GT(total[static_cast<int>(SweepInput::kInfTimesZero)].nan_gamma, 100u);
 }
 
 // ---- End-to-end training bit-equality ---------------------------------

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+
+#include "tests/test_util.h"
 
 namespace stedb::la {
 namespace {
@@ -184,46 +187,97 @@ std::vector<std::pair<std::string, Matrix>> PinnedInputs() {
   in.emplace_back("C^T C 7x7", NormalMatrix(40, 7, rng));
   in.emplace_back("C^T C 32x32", NormalMatrix(200, 32, rng));
   in.emplace_back("C^T C rank-deficient 32x32", NormalMatrix(20, 32, rng));
+  // The sweep runs pair (p, q) at step p + q, up to four pairs of a step
+  // per lane group. 2x2 and 3x3 have one pair per step; 8x8 and 10x10
+  // have widest steps of exactly four and of five pairs; 40x13 and 5x13
+  // (13 columns after the wide input's swap) end their steps in partial
+  // groups; the paper's d = 100 has steps up to 50 pairs wide.
+  in.emplace_back("square 2x2", Matrix::RandomGaussian(2, 2, 1.0, rng));
+  in.emplace_back("square 3x3", Matrix::RandomGaussian(3, 3, 1.0, rng));
+  in.emplace_back("square 8x8", Matrix::RandomGaussian(8, 8, 1.0, rng));
+  in.emplace_back("square 10x10", Matrix::RandomGaussian(10, 10, 1.0, rng));
+  in.emplace_back("tall 40x13", Matrix::RandomGaussian(40, 13, 1.0, rng));
+  in.emplace_back("wide 5x13", Matrix::RandomGaussian(5, 13, 1.0, rng));
+  in.emplace_back("C^T C 100x100", NormalMatrix(300, 100, rng));
+  {
+    // A zero column gives alpha == 0 in a lane beside active ones.
+    Matrix z = NormalMatrix(200, 32, rng);
+    for (size_t i = 0; i < z.rows(); ++i) z(i, 13) = 0.0;
+    for (size_t j = 0; j < z.cols(); ++j) z(13, j) = 0.0;
+    in.emplace_back("C^T C 32x32 zero row and column", std::move(z));
+  }
+  {
+    // The inf column meets every other column with a ratio of inf / inf,
+    // a default NaN that off must not take, and never rotates: |gamma| =
+    // inf <= tol * inf. Its U column is inf / inf. The -0.0 entries keep
+    // their sign until a rotation touches them. No NaN input, and no NaN
+    // gamma (kernels_test has those): where two NaNs meet, x86 keeps the
+    // payload of whichever operand the compiler put first.
+    Matrix s = Matrix::RandomGaussian(9, 6, 1.0, rng);
+    s(0, 1) = -0.0;
+    s(2, 0) = -0.0;
+    s(2, 3) = std::numeric_limits<double>::infinity();
+    s(6, 5) = -0.0;
+    in.emplace_back("-0.0 and +inf 9x6", std::move(s));
+  }
   return in;
 }
 
+/// Every SIMD path this machine can run: the sweep kernel is dispatched,
+/// so each pin holds on the scalar and the AVX2 table alike.
+std::vector<SimdPath> RunnablePaths() {
+  std::vector<SimdPath> paths = {SimdPath::kScalar};
+  if (stedb::testing::HasAvx2()) paths.push_back(SimdPath::kAvx2);
+  return paths;
+}
+
 TEST(SvdPinTest, MatchesReferenceByteForByte) {
-  for (const auto& [name, a] : PinnedInputs()) {
-    SCOPED_TRACE(name);
-    const Svd want = ReferenceJacobiSvd(a);
-    auto got = JacobiSvd(a);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_TRUE(SameBytes(got.value().u, want.u)) << "U";
-    EXPECT_TRUE(SameBytes(got.value().sigma, want.sigma)) << "sigma";
-    EXPECT_TRUE(SameBytes(got.value().v, want.v)) << "V";
+  stedb::testing::SimdPathGuard guard;
+  const auto inputs = PinnedInputs();
+  for (SimdPath path : RunnablePaths()) {
+    internal::ForceSimdPathForTest(path);
+    for (const auto& [name, a] : inputs) {
+      SCOPED_TRACE(std::string(SimdPathName(path)) + " " + name);
+      const Svd want = ReferenceJacobiSvd(a);
+      auto got = JacobiSvd(a);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_TRUE(SameBytes(got.value().u, want.u)) << "U";
+      EXPECT_TRUE(SameBytes(got.value().sigma, want.sigma)) << "sigma";
+      EXPECT_TRUE(SameBytes(got.value().v, want.v)) << "V";
 
-    auto pinv = PseudoInverse(a);
-    ASSERT_TRUE(pinv.ok()) << pinv.status();
-    EXPECT_TRUE(SameBytes(pinv.value(), ReferencePseudoInverse(a))) << "A+";
+      auto pinv = PseudoInverse(a);
+      ASSERT_TRUE(pinv.ok()) << pinv.status();
+      EXPECT_TRUE(SameBytes(pinv.value(), ReferencePseudoInverse(a))) << "A+";
 
-    Rng rng(a.rows() * 131 + a.cols());
-    const Vector b = RandomVector(a.rows(), 1.0, rng);
-    auto x = PinvSolve(a, b);
-    ASSERT_TRUE(x.ok()) << x.status();
-    EXPECT_TRUE(SameBytes(x.value(), ReferencePinvSolve(a, b))) << "A+ b";
+      Rng rng(a.rows() * 131 + a.cols());
+      const Vector b = RandomVector(a.rows(), 1.0, rng);
+      auto x = PinvSolve(a, b);
+      ASSERT_TRUE(x.ok()) << x.status();
+      EXPECT_TRUE(SameBytes(x.value(), ReferencePinvSolve(a, b))) << "A+ b";
+    }
   }
 }
 
 /// A sweep cap that stops the rotations before they converge must stop
 /// them at the same point, and a loose tolerance must skip the same pairs.
 TEST(SvdPinTest, SweepCapAndToleranceMatchReference) {
+  stedb::testing::SimdPathGuard guard;
   Rng rng(31);
   const Matrix a = NormalMatrix(60, 12, rng);
-  for (int sweeps : {1, 2, 3}) {
-    for (double tol : {1e-12, 1e-3}) {
-      SCOPED_TRACE("sweeps=" + std::to_string(sweeps) +
-                   " tol=" + std::to_string(tol));
-      const Svd want = ReferenceJacobiSvd(a, sweeps, tol);
-      auto got = JacobiSvd(a, sweeps, tol);
-      ASSERT_TRUE(got.ok());
-      EXPECT_TRUE(SameBytes(got.value().u, want.u));
-      EXPECT_TRUE(SameBytes(got.value().sigma, want.sigma));
-      EXPECT_TRUE(SameBytes(got.value().v, want.v));
+  for (SimdPath path : RunnablePaths()) {
+    internal::ForceSimdPathForTest(path);
+    for (int sweeps : {1, 2, 3}) {
+      for (double tol : {1e-12, 1e-3}) {
+        SCOPED_TRACE(std::string(SimdPathName(path)) +
+                     " sweeps=" + std::to_string(sweeps) +
+                     " tol=" + std::to_string(tol));
+        const Svd want = ReferenceJacobiSvd(a, sweeps, tol);
+        auto got = JacobiSvd(a, sweeps, tol);
+        ASSERT_TRUE(got.ok());
+        EXPECT_TRUE(SameBytes(got.value().u, want.u));
+        EXPECT_TRUE(SameBytes(got.value().sigma, want.sigma));
+        EXPECT_TRUE(SameBytes(got.value().v, want.v));
+      }
     }
   }
 }
