@@ -155,18 +155,6 @@ void BM_AliasSample(benchmark::State& state) {
 }
 BENCHMARK(BM_AliasSample);
 
-void BM_BilinearForm(benchmark::State& state) {
-  const size_t d = state.range(0);
-  Rng rng(7);
-  la::Matrix m = la::Matrix::RandomSymmetric(d, 1.0, rng);
-  la::Vector x = la::RandomVector(d, 1.0, rng);
-  la::Vector y = la::RandomVector(d, 1.0, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::BilinearForm(x, m, y));
-  }
-}
-BENCHMARK(BM_BilinearForm)->Arg(32)->Arg(100);
-
 // ---- SIMD kernel layer (la/kernels.h) ---------------------------------
 // Registered benchmarks run whatever path the dispatcher picked (or
 // STEDB_SIMD forces); the JSON report below times scalar vs. active
@@ -197,27 +185,11 @@ void BM_KernelAxpy(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelAxpy)->Arg(16)->Arg(64)->Arg(128)->Arg(512);
 
-void BM_KernelBilinear(benchmark::State& state) {
-  const size_t d = state.range(0);
-  Rng rng(15);
-  la::Matrix m = la::Matrix::RandomGaussian(d, d, 1.0, rng);
-  la::Vector x = la::RandomVector(d, 1.0, rng);
-  la::Vector y = la::RandomVector(d, 1.0, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        la::BilinearForm(x.data(), m.data().data(), y.data(), d, d));
-  }
-  state.SetLabel(la::ActiveSimdPathName());
-}
-BENCHMARK(BM_KernelBilinear)->Arg(16)->Arg(64)->Arg(128)->Arg(512);
-
 // /topk's per-request scan over a 2x10^4 x 32 row-major store with one ψ:
-// Arg 0 scores every row with BilinearForm (d row dots per candidate);
-// Arg 1 projects u = ψᵀx once and scores every row with one Dot, as
+// project u = ψᵀx once and score every row with one Dot, as
 // ServingSession::TopK does.
 void BM_TopKScan(benchmark::State& state) {
   constexpr size_t kRows = 20'000, d = 32;
-  const bool projected = state.range(0) == 1;
   Rng rng(17);
   la::Matrix store = la::Matrix::RandomGaussian(kRows, d, 1.0, rng);
   la::Matrix psi = la::Matrix::RandomGaussian(d, d, 1.0, rng);
@@ -225,23 +197,15 @@ void BM_TopKScan(benchmark::State& state) {
   la::Vector u(d);
   for (auto _ : state) {
     double best = 0.0;
-    if (projected) {
-      la::LeftProject(x.data(), psi.data().data(), d, d, u.data());
-      for (size_t r = 0; r < kRows; ++r) {
-        best = std::max(best, la::Dot(u.data(), store.RowPtr(r), d));
-      }
-    } else {
-      for (size_t r = 0; r < kRows; ++r) {
-        best = std::max(best, la::BilinearForm(x.data(), psi.data().data(),
-                                               store.RowPtr(r), d, d));
-      }
+    la::LeftProject(x.data(), psi.data().data(), d, d, u.data());
+    for (size_t r = 0; r < kRows; ++r) {
+      best = std::max(best, la::Dot(u.data(), store.RowPtr(r), d));
     }
     benchmark::DoNotOptimize(best);
   }
-  state.SetLabel(std::string(projected ? "projection+dot " : "bilinear ") +
-                 la::ActiveSimdPathName());
+  state.SetLabel(la::ActiveSimdPathName());
 }
-BENCHMARK(BM_TopKScan)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TopKScan)->Unit(benchmark::kMicrosecond);
 
 void BM_KernelGather(benchmark::State& state) {
   const size_t d = state.range(0);
@@ -494,8 +458,8 @@ double NsPerOp(const Fn& op) {
   }
 }
 
-/// Times the kernel shapes of the report (dot, axpy, matvec, bilinear,
-/// rank-1 add_outer, row gather, Adam step) at the canonical dims, once
+/// Times the kernel shapes of the report (dot, axpy, matvec, rank-1
+/// add_outer, row gather, Adam step) at the canonical dims, once
 /// with the dispatch forced to scalar and once on the path the dispatcher
 /// actually picked, and reports one row per shape. The active path is
 /// restored afterwards.
@@ -535,11 +499,6 @@ void TimeKernels(bench::Report& report) {
          [&] {
            la::MatVec(m.data().data(), d, d, b.data(), mv_out.data());
            benchmark::DoNotOptimize(mv_out.data());
-         }},
-        {"bilinear",
-         [&] {
-           benchmark::DoNotOptimize(
-               la::BilinearForm(a.data(), m.data().data(), b.data(), d, d));
          }},
         {"add_outer",
          [&] {

@@ -24,6 +24,7 @@
 #include "src/exp/report.h"
 #include "src/common/rng.h"
 #include "src/common/timer.h"
+#include "src/n2v/codec.h"
 #include "src/obs/metrics.h"
 #include "src/store/embedding_store.h"
 #include "src/store/stored_model.h"
@@ -98,8 +99,8 @@ int main(int, char**) {
   const double build_sum_before = build_hist.Sum();
   Timer build_timer;
   auto created =
-      store::EmbeddingStore::Create(dir, "node2vec", std::move(model),
-                                    options);
+      store::EmbeddingStore::Create(dir, n2v::kNode2VecMethodTag,
+                                    std::move(model), options);
   if (!created.ok()) {
     std::fprintf(stderr, "create: %s\n",
                  created.status().ToString().c_str());

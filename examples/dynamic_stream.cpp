@@ -11,10 +11,10 @@
 // process would do — and the recovered embeddings are checked against the
 // live model bit for bit.
 //
-// Journaling is method-agnostic since the store::ModelCodec registry:
-// `dynamic_stream node2vec` runs the exact same drill against a Node2Vec
-// journal ('N2V ' snapshot + the same WAL format), and the cold recovery
-// resolves the right codec from the snapshot header alone.
+// Journaling is method-agnostic: `dynamic_stream node2vec` runs the exact
+// same drill against a Node2Vec journal ('N2V ' snapshot + the same WAL
+// format), and the cold recovery resolves the right codec from the
+// snapshot header alone.
 //
 //   $ ./dynamic_stream [forward|node2vec]
 #include <cstdio>
@@ -32,8 +32,7 @@
 using namespace stedb;
 
 int main(int argc, char** argv) {
-  // Any name in the method registry works here — that is the point of the
-  // string-keyed API.
+  // "forward" or "node2vec", in any case (api::CreateMethod).
   const std::string kind = argc > 1 ? argv[1] : "forward";
 
   data::GenConfig gen;
@@ -54,7 +53,7 @@ int main(int argc, char** argv) {
               part.value().batches.size(), part.value().total_removed);
 
   exp::MethodConfig mcfg = exp::MethodConfig::ForScale(exp::RunScale::kSmoke);
-  auto made = exp::MakeMethod(kind, mcfg, 3);
+  auto made = api::CreateMethod(kind, mcfg, 3);
   if (!made.ok()) {
     std::fprintf(stderr, "method: %s\n", made.status().ToString().c_str());
     return 1;
@@ -72,15 +71,12 @@ int main(int argc, char** argv) {
       (std::filesystem::temp_directory_path() / "stedb_dynamic_stream")
           .string();
   std::filesystem::remove_all(store_dir);
-  const bool journaled = [&] {
-    Status attached = embedder->AttachJournal(store_dir);
-    if (attached.ok()) {
-      std::printf("journaling extensions into %s\n", store_dir.c_str());
-      return true;
-    }
-    std::printf("journaling off (%s)\n", attached.ToString().c_str());
-    return false;
-  }();
+  st = embedder->AttachJournal(store_dir);
+  if (!st.ok()) {
+    std::fprintf(stderr, "journal: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  std::printf("journaling extensions into %s\n", store_dir.c_str());
 
   // Downstream model trained on the pre-stream snapshot only.
   ml::LabelEncoder encoder;
@@ -129,8 +125,6 @@ int main(int argc, char** argv) {
               correct, seen,
               100.0 * static_cast<double>(correct) /
                   static_cast<double>(seen > 0 ? seen : 1));
-
-  if (!journaled) return 0;
 
   // ---- Kill-and-recover drill ------------------------------------------
   // Simulate a process killed mid-append: leave half a record (a length

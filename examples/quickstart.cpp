@@ -1,11 +1,12 @@
 // Quickstart: the full stable-embedding workflow through the public
-// api::Engine — static training via the method registry, a batch read, a
-// dynamic insertion, and the stability guarantee, in ~80 lines.
+// api::Embedder — static training of a method made by api::CreateMethod,
+// a batch read, a dynamic insertion, and the stability guarantee, in ~80
+// lines.
 //
 //   $ ./quickstart
 #include <cstdio>
 
-#include "src/api/engine.h"
+#include "src/api/embedder.h"
 #include "src/data/registry.h"
 #include "src/db/cascade.h"
 #include "src/exp/embedding_method.h"
@@ -29,27 +30,35 @@ int main() {
   std::printf("database: %zu facts across %zu relations\n",
               ds.database.NumFacts(), ds.database.schema().num_relations());
 
-  // 2. Static phase: the engine resolves "forward" through the method
-  //    registry (any api::RegisterMethod name works) and trains it. The
-  //    label column is excluded — embeddings never see it.
+  // 2. Static phase: CreateMethod makes "forward" (or "node2vec") and
+  //    TrainStatic trains it. The label column is excluded — embeddings
+  //    never see it.
   api::MethodOptions options = exp::MethodConfig::ForScale(
       exp::RunScale::kSmoke);  // preset hyperparameters
   api::AttrKeySet excluded;
   excluded.insert({ds.pred_rel, ds.pred_attr});
-  auto trained = api::Engine::Train(&ds.database, "forward", ds.pred_rel,
-                                    excluded, options, /*seed=*/1);
-  if (!trained.ok()) {
-    std::fprintf(stderr, "train: %s\n",
-                 trained.status().ToString().c_str());
+  auto made = api::CreateMethod("forward", options, /*seed=*/1);
+  if (!made.ok()) {
+    std::fprintf(stderr, "method: %s\n", made.status().ToString().c_str());
     return 1;
   }
-  api::Engine engine = std::move(trained).value();
-  la::Vector v = engine.Embed(ds.Samples().front()).value();
+  api::Embedder& embedder = *made.value();
+  Status st = embedder.TrainStatic(&ds.database, ds.pred_rel, excluded);
+  if (!st.ok()) {
+    std::fprintf(stderr, "train: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  la::Vector v = embedder.Embed(ds.Samples().front()).value();
   std::printf("static phase done (%s); dim=%zu, |phi(f0)|=%.3f\n",
-              engine.method().c_str(), engine.dim(), la::Norm2(v));
+              embedder.Name().c_str(), embedder.dim(), la::Norm2(v));
 
   // 3. The batch read path: every sample in one call (one row per fact).
-  la::Matrix all = engine.EmbedBatch(ds.Samples()).value();
+  la::Matrix all(ds.Samples().size(), embedder.dim());
+  st = embedder.EmbedBatch(ds.Samples(), all);
+  if (!st.ok()) {
+    std::fprintf(stderr, "batch: %s\n", st.ToString().c_str());
+    return 1;
+  }
   std::printf("batch read: %zu x %zu embedding matrix\n", all.rows(),
               all.cols());
 
@@ -68,7 +77,7 @@ int main() {
   // Snapshot old embeddings to demonstrate stability.
   n2v::EmbeddingSnapshot snapshot;
   for (db::FactId f : ds.Samples()) {
-    auto e = engine.Embed(f);
+    auto e = embedder.Embed(f);
     if (e.ok()) snapshot.Record(f, std::move(e).value());
   }
 
@@ -78,7 +87,7 @@ int main() {
                  new_ids.status().ToString().c_str());
     return 1;
   }
-  Status st = engine.ExtendToFacts(new_ids.value());
+  st = embedder.ExtendToFacts(new_ids.value());
   if (!st.ok()) {
     std::fprintf(stderr, "extend: %s\n", st.ToString().c_str());
     return 1;
@@ -86,12 +95,12 @@ int main() {
 
   // 5. The stability contract: every old vector is bit-identical.
   double drift = snapshot.MaxDrift(
-      [&](db::FactId f) { return engine.Embed(f).value(); });
+      [&](db::FactId f) { return embedder.Embed(f).value(); });
   db::FactId new_pred = db::kNoFact;
   for (db::FactId f : new_ids.value()) {
     if (database.fact(f).rel == ds.pred_rel) new_pred = f;
   }
-  la::Vector nv = engine.Embed(new_pred).value();
+  la::Vector nv = embedder.Embed(new_pred).value();
   std::printf("dynamic phase done; |phi(new)|=%.3f, old-embedding drift=%g\n",
               la::Norm2(nv), drift);
   std::printf(drift == 0.0 ? "stability: OK (old embeddings frozen)\n"

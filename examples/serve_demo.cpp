@@ -10,9 +10,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 
-#include "src/api/engine.h"
+#include "src/api/embedder.h"
 #include "src/data/registry.h"
 #include "src/db/cascade.h"
 #include "src/exp/embedding_method.h"
@@ -41,24 +42,23 @@ int main() {
       exp::MethodConfig::ForScale(exp::RunScale::kSmoke);
   api::AttrKeySet excluded;
   excluded.insert({ds.pred_rel, ds.pred_attr});
-  auto trained = api::Engine::Train(&ds.database, "forward", ds.pred_rel,
-                                    excluded, options, /*seed=*/1);
-  if (!trained.ok()) {
-    std::fprintf(stderr, "train: %s\n",
-                 trained.status().ToString().c_str());
+  std::unique_ptr<api::Embedder> embedder =
+      std::move(api::CreateMethod("forward", options, /*seed=*/1)).value();
+  Status st = embedder->TrainStatic(&ds.database, ds.pred_rel, excluded);
+  if (!st.ok()) {
+    std::fprintf(stderr, "train: %s\n", st.ToString().c_str());
     return 1;
   }
-  api::Engine engine = std::move(trained).value();
   const std::string dir =
       (std::filesystem::temp_directory_path() / "stedb_serve_demo")
           .string();
   std::filesystem::remove_all(dir);
-  if (!engine.AttachJournal(dir).ok()) {
+  if (!embedder->AttachJournal(dir).ok()) {
     std::fprintf(stderr, "journal attach failed\n");
     return 1;
   }
   std::printf("trainer: %s model journaled into %s\n",
-              engine.method().c_str(), dir.c_str());
+              embedder->Name().c_str(), dir.c_str());
 
   // ---- Server: the service stedb_serve wraps, on an ephemeral port ------
   serve::ServeOptions serve_options;
@@ -87,7 +87,7 @@ int main() {
   // ---- Client: every trained sample served bit-identically --------------
   size_t checked = 0, mismatched = 0;
   for (db::FactId f : ds.Samples()) {
-    auto live = engine.Embed(f);
+    auto live = embedder->Embed(f);
     if (!live.ok()) continue;
     auto resp =
         client.Get("/embed?fact=" + std::to_string(f) + "&raw=1");
@@ -116,7 +116,7 @@ int main() {
   if (!cascade.ok()) return 1;
   auto new_ids = db::ReinsertBatch(ds.database, cascade.value());
   if (!new_ids.ok()) return 1;
-  if (!engine.ExtendToFacts(new_ids.value()).ok()) return 1;
+  if (!embedder->ExtendToFacts(new_ids.value()).ok()) return 1;
   db::FactId new_pred = db::kNoFact;
   for (db::FactId f : new_ids.value()) {
     if (ds.database.fact(f).rel == ds.pred_rel) new_pred = f;
@@ -140,7 +140,7 @@ int main() {
       client.Get("/embed?fact=" + std::to_string(new_pred) + "&raw=1");
   const bool identical = after.ok() && after.value().status == 200 &&
                          SameBits(after.value().body,
-                                  engine.Embed(new_pred).value());
+                                  embedder->Embed(new_pred).value());
   std::printf("client: new fact 404 before poll: %s; Poll applied %zu "
               "records; served bit-identical after: %s\n",
               invisible_before ? "yes" : "NO",

@@ -1,6 +1,6 @@
 // Trainer + serving replica over one store directory — the process
 // separation the serving path exists for. One side owns the model and
-// journals into a store::EmbeddingStore (via api::Engine::AttachJournal);
+// journals into a store::EmbeddingStore (via api::Embedder::AttachJournal);
 // the other side never touches the trainer: it opens the directory cold
 // with api::ServingSession (mmap'd snapshot, zero-copy reads) and tails
 // the WAL with Poll() to pick up extensions as they are journaled.
@@ -14,8 +14,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 
-#include "src/api/engine.h"
+#include "src/api/embedder.h"
 #include "src/api/serving.h"
 #include "src/data/registry.h"
 #include "src/db/cascade.h"
@@ -44,25 +45,25 @@ int main() {
       exp::MethodConfig::ForScale(exp::RunScale::kSmoke);
   api::AttrKeySet excluded;
   excluded.insert({ds.pred_rel, ds.pred_attr});
-  auto trained = api::Engine::Train(&ds.database, "forward", ds.pred_rel,
-                                    excluded, options, /*seed=*/1);
-  if (!trained.ok()) {
-    std::fprintf(stderr, "train: %s\n", trained.status().ToString().c_str());
+  std::unique_ptr<api::Embedder> embedder =
+      std::move(api::CreateMethod("forward", options, /*seed=*/1)).value();
+  Status st = embedder->TrainStatic(&ds.database, ds.pred_rel, excluded);
+  if (!st.ok()) {
+    std::fprintf(stderr, "train: %s\n", st.ToString().c_str());
     return 1;
   }
-  api::Engine engine = std::move(trained).value();
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "stedb_serving_replica")
           .string();
   std::filesystem::remove_all(dir);
-  Status st = engine.AttachJournal(dir);
+  st = embedder->AttachJournal(dir);
   if (!st.ok()) {
     std::fprintf(stderr, "journal: %s\n", st.ToString().c_str());
     return 1;
   }
   std::printf("trainer: %s model journaled into %s\n",
-              engine.method().c_str(), dir.c_str());
+              embedder->Name().c_str(), dir.c_str());
 
   // ---- Reader process: cold open --------------------------------------
   auto opened = api::ServingSession::Open(dir);
@@ -73,7 +74,7 @@ int main() {
   api::ServingSession session = std::move(opened).value();
   size_t checked = 0, mismatched = 0;
   for (db::FactId f : ds.Samples()) {
-    auto live = engine.Embed(f);
+    auto live = embedder->Embed(f);
     if (!live.ok()) continue;
     auto served = session.Embed(f);
     ++checked;
@@ -100,7 +101,7 @@ int main() {
                  new_ids.status().ToString().c_str());
     return 1;
   }
-  st = engine.ExtendToFacts(new_ids.value());
+  st = embedder->ExtendToFacts(new_ids.value());
   if (!st.ok()) {
     std::fprintf(stderr, "extend: %s\n", st.ToString().c_str());
     return 1;
@@ -122,7 +123,7 @@ int main() {
   }
   const bool identical =
       SameBits(session.Embed(new_pred).value(),
-               engine.Embed(new_pred).value());
+               embedder->Embed(new_pred).value());
   std::printf("reader: new fact visible before poll: %s; Poll() applied "
               "%zu records; new embedding bit-identical: %s\n",
               visible_before ? "yes (unexpected!)" : "no",

@@ -1,14 +1,14 @@
-// The two built-in embedding methods of the paper, adapted to the
-// api::Embedder interface and registered with the method registry. This is
-// the only file that knows both concrete embedders; everything above it
-// (experiments, benches, examples, serving) goes through the registry.
+// The two embedding methods of the paper, adapted to the api::Embedder
+// interface, and CreateMethod, which picks one by name. This is the only
+// file that knows both concrete embedders; everything above it
+// (experiments, benches, examples, serving) goes through CreateMethod.
 #include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/api/embedder.h"
-#include "src/api/registry.h"
+#include "src/common/string_util.h"
 #include "src/fwd/codec.h"
 #include "src/n2v/codec.h"
 #include "src/store/embedding_store.h"
@@ -145,7 +145,7 @@ class Node2VecMethod : public Embedder {
     // through the Node2Vec codec; every later extension lands in the WAL
     // via the sink, with its final — frozen-from-then-on — vector.
     auto created = store::EmbeddingStore::Create(
-        dir, "node2vec", n2v::SnapshotVectors(*embedding_));
+        dir, n2v::kNode2VecMethodTag, n2v::SnapshotVectors(*embedding_));
     if (!created.ok()) return created.status();
     // unique_ptr pins the store's address — the sink captures it.
     store_ =
@@ -181,27 +181,20 @@ class Node2VecMethod : public Embedder {
 
 }  // namespace
 
-namespace internal {
-
-// Enumerated (not self-registering) so the registry TU can install the
-// built-ins under its own lock without a cross-TU "caller holds the
-// lock" contract the thread-safety analysis cannot see.
-std::vector<std::pair<std::string, MethodFactory>> BuiltinMethods() {
-  std::vector<std::pair<std::string, MethodFactory>> methods;
-  methods.emplace_back(
-      "forward",
-      [](const MethodOptions& options, uint64_t seed)
-          -> std::unique_ptr<Embedder> {
-        return std::make_unique<ForwardMethod>(options, seed);
-      });
-  methods.emplace_back(
-      "node2vec",
-      [](const MethodOptions& options, uint64_t seed)
-          -> std::unique_ptr<Embedder> {
-        return std::make_unique<Node2VecMethod>(options, seed);
-      });
-  return methods;
+Result<std::unique_ptr<Embedder>> CreateMethod(const std::string& name,
+                                               const MethodOptions& options,
+                                               uint64_t seed) {
+  const std::string key = ToLower(name);
+  std::unique_ptr<Embedder> method;
+  if (key == "forward") {
+    method = std::make_unique<ForwardMethod>(options, seed);
+  } else if (key == "node2vec") {
+    method = std::make_unique<Node2VecMethod>(options, seed);
+  } else {
+    return Status::NotFound("unknown embedding method '" + name +
+                            "' (known: forward, node2vec)");
+  }
+  return method;
 }
 
-}  // namespace internal
 }  // namespace stedb::api

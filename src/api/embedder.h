@@ -1,7 +1,7 @@
 #ifndef STEDB_API_EMBEDDER_H_
 #define STEDB_API_EMBEDDER_H_
 
-#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,22 +18,17 @@ namespace stedb::api {
 /// shared with the FoRWaRD layer, where the type originates.
 using AttrKeySet = fwd::AttrKeySet;
 
-/// Hyperparameters handed to a method factory. The two built-in methods
-/// read their own sub-config and ignore the other; externally registered
-/// methods can carry free-form parameters in `extra` without the core
-/// API growing a field per plugin.
+/// Hyperparameters handed to CreateMethod. Each method reads its own
+/// sub-config and ignores the other.
 struct MethodOptions {
   fwd::ForwardConfig forward;
   n2v::Node2VecConfig node2vec;
-  /// Untyped parameter bag for registered third-party methods.
-  std::map<std::string, std::string> extra;
 };
 
 /// The engine's uniform embedding-method interface: one instance = one
 /// (trainable, dynamically extensible, durably journal-able) embedding of
-/// one database. Built-in implementations (FoRWaRD, Node2Vec) register
-/// themselves with the method registry (see registry.h); external code can
-/// implement and register additional methods without touching this header.
+/// one database. The two implementations, FoRWaRD and Node2Vec, live in
+/// builtin_methods.cc; CreateMethod is the only way to make one.
 ///
 /// Lifecycle: TrainStatic once, then any interleaving of ExtendToFacts /
 /// Embed / EmbedBatch. The stability contract of the paper holds for every
@@ -59,38 +54,36 @@ class Embedder {
   /// Batch read: fills `out` with one embedding per requested fact, row i
   /// holding φ(facts[i]). `out` must be facts.size() x dim(). Fails with
   /// InvalidArgument on a shape mismatch and NotFound when any fact was
-  /// never embedded; `out` contents are unspecified after an error. The
-  /// built-in methods parallelize large batches with ParallelFor —
-  /// this is the hot path feature extraction and serving go through.
-  /// The default implementation loops the scalar Embed, so registered
-  /// methods get the batch surface for free.
+  /// never embedded; `out` contents are unspecified after an error. Large
+  /// batches fan out with ParallelFor — this is the hot path feature
+  /// extraction and serving go through.
   virtual Status EmbedBatch(Span<const db::FactId> facts,
-                            la::MatrixView out) const;
+                            la::MatrixView out) const = 0;
 
   /// Starts journaling this method's model into a store::EmbeddingStore at
   /// `dir`: snapshot of the trained model now, one WAL record per future
-  /// extension. Must be called after TrainStatic. Both built-ins support
-  /// this via their registered store::ModelCodec; the default is
-  /// FailedPrecondition for third-party methods that registered no codec.
-  virtual Status AttachJournal(const std::string& dir) {
-    (void)dir;
-    return Status::FailedPrecondition(Name() + " does not support journaling");
-  }
+  /// extension. Must be called after TrainStatic.
+  virtual Status AttachJournal(const std::string& dir) = 0;
 
   /// Re-opens the attached journal cold (snapshot + WAL replay, as a crash
   /// recovery would) and returns the max absolute deviation between the
   /// recovered and the in-memory embeddings — 0.0 when durability is
   /// bit-exact.
-  virtual Result<double> VerifyJournal() const {
-    return Status::FailedPrecondition(Name() + " does not support journaling");
-  }
+  virtual Result<double> VerifyJournal() const = 0;
 
-  /// Display name ("FoRWaRD", "Node2Vec", ...), used in experiment reports.
+  /// Display name ("FoRWaRD" or "Node2Vec"), used in experiment reports.
   virtual std::string Name() const = 0;
 
   /// Embedding dimension; 0 before TrainStatic.
   virtual size_t dim() const = 0;
 };
+
+/// Builds an untrained method by name: "forward" (FoRWaRD) or "node2vec",
+/// in any case. `seed` controls all of the instance's randomness.
+/// NotFound, naming both, for any other name.
+Result<std::unique_ptr<Embedder>> CreateMethod(const std::string& name,
+                                               const MethodOptions& options,
+                                               uint64_t seed);
 
 }  // namespace stedb::api
 

@@ -35,10 +35,10 @@ struct SimilarOptions {
 /// coordination beyond the filesystem.
 ///
 /// The session is method-agnostic: it reads the snapshot's standard PHI
-/// section and the method-agnostic WAL, so a directory written by *any*
-/// registered codec — FoRWaRD's, Node2Vec's, a third party's — serves
-/// identically (the session never even resolves the codec; the container
-/// header carries dim/relation and the CRC-checked section table).
+/// section and the method-agnostic WAL, so a directory written by either
+/// codec — FoRWaRD's or Node2Vec's — serves identically (the session
+/// never even resolves the codec; the container header carries
+/// dim/relation and the CRC-checked section table).
 ///
 ///   auto session = api::ServingSession::Open(dir);       // cold reader
 ///   Span<const double> v = session->Embed(f).value();    // zero-copy

@@ -203,12 +203,15 @@ FactId Database::FindByKey(RelationId rel, const ValueTuple& key) const {
 }
 
 FactId Database::Referenced(FactId id, FkId fk) const {
+  // Delete cleared a dead fact's reference lists.
+  if (!IsLive(id)) return kNoFact;
   int pos = OutFkPos(facts_[id].rel, fk);
   if (pos < 0) return kNoFact;
   return fwd_refs_[id][pos];
 }
 
 const std::vector<FactId>& Database::Referencing(FactId id, FkId fk) const {
+  if (!IsLive(id)) return kEmptyFactList;
   int pos = InFkPos(facts_[id].rel, fk);
   if (pos < 0) return kEmptyFactList;
   return inbound_refs_[id][pos];

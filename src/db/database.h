@@ -103,11 +103,12 @@ class Database {
   // ---- FK adjacency (walk steps) ----------------------------------------
 
   /// The unique fact referenced by `id` via `fk`, or kNoFact when the FK
-  /// image contains a null. `id` must belong to fk.from_rel.
+  /// image contains a null or `id` is deleted. `id` must belong to
+  /// fk.from_rel.
   FactId Referenced(FactId id, FkId fk) const;
 
-  /// All live facts referencing `id` via `fk`. `id` must belong to
-  /// fk.to_rel.
+  /// All live facts referencing `id` via `fk`; empty when `id` is
+  /// deleted. `id` must belong to fk.to_rel.
   const std::vector<FactId>& Referencing(FactId id, FkId fk) const;
 
   /// Count of inbound references to `id` across all FKs.

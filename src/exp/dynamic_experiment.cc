@@ -50,7 +50,7 @@ Result<RunOutcome> RunOnce(const data::GeneratedDataset& ds,
   MethodConfig run_cfg = mcfg;
   run_cfg.forward.recompute_old_paths = !dcfg.one_by_one;
   STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> embedder,
-                         MakeMethod(method, run_cfg, run_seed));
+                         api::CreateMethod(method, run_cfg, run_seed));
   STEDB_RETURN_IF_ERROR(
       embedder->TrainStatic(&database, ds.pred_rel, LabelExclusion(ds)));
 
@@ -69,16 +69,11 @@ Result<RunOutcome> RunOnce(const data::GeneratedDataset& ds,
   STEDB_RETURN_IF_ERROR(clf->Fit(train));
 
   // Optional journaling: snapshot the trained model, then capture every
-  // extension below in the WAL. Methods without a store format decline
-  // with FailedPrecondition, which simply leaves journaling off.
+  // extension below in the WAL.
   if (!dcfg.journal_dir.empty()) {
-    Status attached = embedder->AttachJournal(dcfg.journal_dir + "/run" +
-                                              std::to_string(run));
-    if (attached.ok()) {
-      out.journaled = true;
-    } else if (attached.code() != StatusCode::kFailedPrecondition) {
-      return attached;
-    }
+    STEDB_RETURN_IF_ERROR(embedder->AttachJournal(
+        dcfg.journal_dir + "/run" + std::to_string(run)));
+    out.journaled = true;
   }
 
   // Snapshot old embeddings for the stability check (one batch read).
@@ -172,10 +167,10 @@ Result<DynamicResult> RunDynamicExperiment(const data::GeneratedDataset& ds,
                                            const std::string& method,
                                            const MethodConfig& mcfg,
                                            const DynamicConfig& dcfg) {
-  // Resolve the name once so an unknown method fails fast (and with the
-  // registry's NotFound message) instead of inside the run fan-out.
+  // Resolve the name once so an unknown method fails fast (and with
+  // CreateMethod's NotFound message) instead of inside the run fan-out.
   STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> probe,
-                         MakeMethod(method, mcfg, dcfg.seed));
+                         api::CreateMethod(method, mcfg, dcfg.seed));
   DynamicResult result;
   result.dataset = ds.name;
   result.method = probe->Name();

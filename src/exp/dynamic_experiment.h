@@ -32,9 +32,8 @@ struct DynamicConfig {
   /// `<journal_dir>/run<r>` (binary snapshot after static training + one
   /// WAL record per extension — see src/store/) and, after the replay,
   /// verifies that a cold store::EmbeddingStore::Open() recovers the
-  /// in-memory embeddings bit-exactly. Both built-in methods journal via
-  /// their registered store::ModelCodec; third-party methods without a
-  /// codec ignore the knob.
+  /// in-memory embeddings bit-exactly. Both methods journal through
+  /// their store::ModelCodec.
   std::string journal_dir;
   uint64_t seed = 321;
 };
@@ -59,8 +58,8 @@ struct DynamicResult {
   bool journaled = false;           ///< journaling ran for at least one run
 };
 
-/// Runs the dynamic experiment for one method (a registry name, see
-/// api::RegisterMethod) on one dataset.
+/// Runs the dynamic experiment for one method ("forward" or "node2vec",
+/// see api::CreateMethod) on one dataset.
 Result<DynamicResult> RunDynamicExperiment(const data::GeneratedDataset& ds,
                                            const std::string& method,
                                            const MethodConfig& mcfg,

@@ -74,10 +74,4 @@ MethodConfig MethodConfig::ForScale(RunScale scale) {
   return cfg;
 }
 
-Result<std::unique_ptr<api::Embedder>> MakeMethod(const std::string& name,
-                                                  const MethodConfig& config,
-                                                  uint64_t seed) {
-  return api::CreateMethod(name, config, seed);
-}
-
 }  // namespace stedb::exp

@@ -1,12 +1,7 @@
 #ifndef STEDB_EXP_EMBEDDING_METHOD_H_
 #define STEDB_EXP_EMBEDDING_METHOD_H_
 
-#include <memory>
-#include <string>
-
 #include "src/api/embedder.h"
-#include "src/api/registry.h"
-#include "src/common/status.h"
 
 namespace stedb::exp {
 
@@ -19,8 +14,8 @@ enum class RunScale { kSmoke, kDefault, kPaper };
 /// default-scale experiment.
 RunScale ScaleFromEnv();
 
-/// Per-method hyperparameters (the api::MethodOptions handed to the
-/// registry factories) plus the dataset scale factor the experiment
+/// Per-method hyperparameters (the api::MethodOptions handed to
+/// api::CreateMethod) plus the dataset scale factor the experiment
 /// generators use.
 struct MethodConfig : api::MethodOptions {
   /// Dataset size multiplier passed to the generators.
@@ -29,14 +24,6 @@ struct MethodConfig : api::MethodOptions {
   /// Preset for a scale (embedding dims, epochs, sample counts, data size).
   static MethodConfig ForScale(RunScale scale);
 };
-
-/// Builds a method instance by registry name — "forward", "node2vec"
-/// (case-insensitive), or anything registered via api::RegisterMethod.
-/// One instance = one trained embedding over one database. `seed` controls
-/// all of the instance's randomness. NotFound for unknown names.
-Result<std::unique_ptr<api::Embedder>> MakeMethod(const std::string& name,
-                                                  const MethodConfig& config,
-                                                  uint64_t seed);
 
 }  // namespace stedb::exp
 

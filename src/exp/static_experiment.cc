@@ -63,11 +63,11 @@ Result<StaticResult> RunStaticExperiment(const data::GeneratedDataset& ds,
   const fwd::AttrKeySet excluded = LabelExclusion(ds);
   double train_seconds = 0.0;
 
-  // Resolve the method once up front: an unknown registry name fails here
+  // Resolve the method once up front: an unknown name fails here
   // with NotFound instead of inside the fold fan-out, and the instance
   // doubles as the shared embedding when embedding_per_fold is off.
   STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> resolved,
-                         MakeMethod(method, mcfg, scfg.seed));
+                         api::CreateMethod(method, mcfg, scfg.seed));
   const std::string method_name = resolved->Name();
 
   // Either one embedding per fold (paper protocol) or a single shared one.
@@ -96,7 +96,8 @@ Result<StaticResult> RunStaticExperiment(const data::GeneratedDataset& ds,
     fold_data.resize(folds);
     std::vector<double> fold_seconds(folds, 0.0);
     ParallelFor(scfg.threads, folds, [&](size_t fold) {
-      auto made = MakeMethod(method, fold_cfg, scfg.seed + 7919 * fold);
+      auto made =
+          api::CreateMethod(method, fold_cfg, scfg.seed + 7919 * fold);
       if (!made.ok()) {
         fold_data[fold].emplace(made.status());
         return;

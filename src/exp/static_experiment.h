@@ -38,9 +38,8 @@ struct StaticResult {
   double embed_train_seconds = 0.0;  ///< total embedding training time
 };
 
-/// Runs the static experiment for one embedding method (a registry name —
-/// "forward", "node2vec", or anything api::RegisterMethod added) on one
-/// dataset.
+/// Runs the static experiment for one embedding method ("forward" or
+/// "node2vec", see api::CreateMethod) on one dataset.
 Result<StaticResult> RunStaticExperiment(const data::GeneratedDataset& ds,
                                          const std::string& method,
                                          const MethodConfig& mcfg,

@@ -14,7 +14,7 @@ Result<StaticTiming> MeasureStaticTime(const data::GeneratedDataset& ds,
 
   {
     STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> m,
-                           MakeMethod("node2vec", mcfg, seed));
+                           api::CreateMethod("node2vec", mcfg, seed));
     Timer t;
     STEDB_RETURN_IF_ERROR(
         m->TrainStatic(&ds.database, ds.pred_rel, excluded));
@@ -22,7 +22,7 @@ Result<StaticTiming> MeasureStaticTime(const data::GeneratedDataset& ds,
   }
   {
     STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> m,
-                           MakeMethod("forward", mcfg, seed));
+                           api::CreateMethod("forward", mcfg, seed));
     Timer t;
     STEDB_RETURN_IF_ERROR(
         m->TrainStatic(&ds.database, ds.pred_rel, excluded));

@@ -270,7 +270,8 @@ Result<store::EmbeddingStore> CreateForwardStore(const std::string& dir,
                                                  const ForwardModel& model,
                                                  store::StoreOptions options) {
   return store::EmbeddingStore::Create(
-      dir, "forward", std::make_unique<ForwardStoredModel>(model), options);
+      dir, kForwardMethodTag, std::make_unique<ForwardStoredModel>(model),
+      options);
 }
 
 }  // namespace stedb::fwd

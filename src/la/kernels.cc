@@ -80,9 +80,6 @@ struct ScalarPolicy {
     }
     return v;
   }
-  static double ScalarFma(double a, double b, double acc) {
-    return std::fma(a, b, acc);
-  }
   /// (v0 + v2) + (v1 + v3) — mirrors the AVX2 low/high-128 add followed
   /// by the horizontal pair add.
   static double ReduceTree(Vec v) {
@@ -204,10 +201,6 @@ void ScalarMatVec(const double* m, size_t rows, size_t cols, const double* x,
                   double* out) {
   internal::MatVecImpl<ScalarPolicy>(m, rows, cols, x, out);
 }
-double ScalarBilinear(const double* x, const double* m, const double* y,
-                      size_t rows, size_t cols) {
-  return internal::BilinearImpl<ScalarPolicy>(x, m, y, rows, cols);
-}
 void ScalarAddOuter(double* m, size_t rows, size_t cols, const double* x,
                     const double* y) {
   internal::AddOuterImpl<ScalarPolicy>(m, rows, cols, x, y);
@@ -229,7 +222,6 @@ constexpr KernelOps kScalarOps = {
     &ScalarCopyRow,
     &ScalarAdam,
     &ScalarMatVec,
-    &ScalarBilinear,
     &ScalarAddOuter,
     &ScalarJacobiSweep,
 };

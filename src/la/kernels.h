@@ -3,11 +3,11 @@
 
 // Runtime-dispatched SIMD kernels for the `la::` hot loops.
 //
-// Every reduction-shaped primitive in this repo (Dot, Norm2, the φᵀψφ
-// bilinear scorer, MatVec), every element-wise update (Axpy, Scale,
-// ScaleAdd, the Adam step, row copies, rank-1 AddOuter) and the sweep of
-// the Jacobi SVD funnel through the function table returned by
-// `Kernels()`. The table is resolved exactly once per process:
+// Every reduction-shaped primitive in this repo (Dot, Norm2, MatVec),
+// every element-wise update (Axpy, Scale, ScaleAdd, the Adam step, row
+// copies, rank-1 AddOuter) and the sweep of the Jacobi SVD funnel through
+// the function table returned by `Kernels()`. The table is resolved
+// exactly once per process:
 //
 //   * `STEDB_SIMD=scalar` forces the portable path;
 //   * `STEDB_SIMD=avx2` forces AVX2+FMA and aborts with an actionable
@@ -71,8 +71,6 @@ struct KernelOps {
                const double* grad, size_t n);
   void (*matvec)(const double* m, size_t rows, size_t cols, const double* x,
                  double* out);
-  double (*bilinear)(const double* x, const double* m, const double* y,
-                     size_t rows, size_t cols);
   void (*add_outer)(double* m, size_t rows, size_t cols, const double* x,
                     const double* y);
   double (*jacobi_sweep)(double* w, double* v, size_t m, size_t n, size_t ld,
@@ -136,11 +134,6 @@ inline void AdamStep(const AdamCoeffs& c, double* params, double* m,
 inline void MatVec(const double* m, size_t rows, size_t cols, const double* x,
                    double* out) {
   Kernels().matvec(m, rows, cols, x, out);
-}
-/// x^T M y for a rows x cols row-major m.
-inline double BilinearForm(const double* x, const double* m, const double* y,
-                           size_t rows, size_t cols) {
-  return Kernels().bilinear(x, m, y, rows, cols);
 }
 /// m += x y^T for a rows x cols row-major m, i.e. m[r][k] += x[r] * y[k]
 /// with the product and the sum rounded separately (not fused). Rows with

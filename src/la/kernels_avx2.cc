@@ -50,11 +50,6 @@ struct Avx2Policy {
   static Vec Fma(Vec a, Vec b, Vec acc) {
     return _mm256_fmadd_pd(a, b, acc);
   }
-  /// std::fma compiles to a vfmadd scalar instruction under -mfma —
-  /// correctly rounded, identical to the scalar policy's libm fma.
-  static double ScalarFma(double a, double b, double acc) {
-    return __builtin_fma(a, b, acc);
-  }
   /// (v0 + v2) + (v1 + v3): add the low and high 128-bit halves, then the
   /// resulting pair — the tree the scalar policy mirrors.
   static double ReduceTree(Vec v) {
@@ -134,10 +129,6 @@ void Avx2MatVec(const double* m, size_t rows, size_t cols, const double* x,
                 double* out) {
   internal::MatVecImpl<Avx2Policy>(m, rows, cols, x, out);
 }
-double Avx2Bilinear(const double* x, const double* m, const double* y,
-                    size_t rows, size_t cols) {
-  return internal::BilinearImpl<Avx2Policy>(x, m, y, rows, cols);
-}
 void Avx2AddOuter(double* m, size_t rows, size_t cols, const double* x,
                   const double* y) {
   internal::AddOuterImpl<Avx2Policy>(m, rows, cols, x, y);
@@ -159,7 +150,6 @@ constexpr KernelOps kAvx2Ops = {
     &Avx2CopyRow,
     &Avx2Adam,
     &Avx2MatVec,
-    &Avx2Bilinear,
     &Avx2AddOuter,
     &Avx2JacobiSweep,
 };

@@ -368,32 +368,6 @@ void MatVecImpl(const double* m, size_t rows, size_t cols, const double* x,
   for (; r < rows; ++r) out[r] = DotImpl<P>(m + r * cols, x, cols);
 }
 
-/// x^T M y: acc = fma(x[i], Dot(row i, y), acc) over rows in order, with
-/// the historical x[i] == 0 skip (exact: fma(0, q, acc) == acc for finite
-/// q, and skipping reproduces the seed's sparsity shortcut identically in
-/// both paths). The row dots are computed kMatVecRows at a time, as in
-/// MatVecImpl; a skipped row's dot may be computed but never enters acc.
-template <typename P>
-double BilinearImpl(const double* x, const double* m, const double* y,
-                    size_t rows, size_t cols) {
-  double acc = 0.0;
-  size_t i = 0;
-  for (; i + kMatVecRows <= rows; i += kMatVecRows) {
-    double dots[kMatVecRows];
-    ReduceRows<P, kMatVecRows>(m + i * cols, cols, y, cols, FmaStep<P>(),
-                               dots);
-    for (size_t k = 0; k < kMatVecRows; ++k) {
-      if (x[i + k] != 0.0) acc = P::ScalarFma(x[i + k], dots[k], acc);
-    }
-  }
-  for (; i < rows; ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    acc = P::ScalarFma(xi, DotImpl<P>(m + i * cols, y, cols), acc);
-  }
-  return acc;
-}
-
 // ---- One-sided Jacobi sweep ---------------------------------------------
 
 /// Rotates the columns of one lane group through the rows of a working

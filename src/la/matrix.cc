@@ -140,11 +140,6 @@ Vector RandomVector(size_t n, double stddev, Rng& rng) {
   return v;
 }
 
-double BilinearForm(Span<const double> x, Span<const double> m,
-                    Span<const double> y) {
-  return BilinearForm(x.data(), m.data(), y.data(), x.size(), y.size());
-}
-
 void LeftProject(const double* x, const double* m, size_t rows, size_t cols,
                  double* out) {
   std::fill(out, out + cols, 0.0);
@@ -152,12 +147,6 @@ void LeftProject(const double* x, const double* m, size_t rows, size_t cols,
     if (x[i] == 0.0) continue;
     Axpy(x[i], m + i * cols, out, cols);
   }
-}
-
-double BilinearForm(const Vector& x, const Matrix& m, const Vector& y) {
-  return BilinearForm(Span<const double>(x),
-                      Span<const double>(m.data().data(), m.data().size()),
-                      Span<const double>(y));
 }
 
 }  // namespace stedb::la

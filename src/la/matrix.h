@@ -127,15 +127,6 @@ double CosineSimilarity(const Vector& a, const Vector& b);
 /// Gaussian-random vector.
 Vector RandomVector(size_t n, double stddev, Rng& rng);
 
-/// x^T M y for square M (x.size() == M.rows(), y.size() == M.cols()).
-double BilinearForm(const Vector& x, const Matrix& m, const Vector& y);
-
-/// x^T M y over raw views: `m` is a dim*dim row-major span (e.g. a ψ
-/// matrix straight off an mmap'd snapshot). Identical operation order to
-/// the Matrix overload — both call this core.
-double BilinearForm(Span<const double> x, Span<const double> m,
-                    Span<const double> y);
-
 /// out = M^T x for a rows x cols row-major m (x has rows entries, out has
 /// cols): out starts at zero and gains x[i] * (row i of m) by Axpy, rows in
 /// ascending order, rows with x[i] == 0 skipped. Each out[j] is one

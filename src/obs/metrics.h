@@ -170,8 +170,8 @@ class Registry {
   /// family, series grouped under it in registration order).
   void Render(std::string* out) const;
 
-  /// Scrape-time lookups for tests and the /stats bridge; null when the
-  /// identity was never registered (or is a different type).
+  /// Scrape-time lookups for tests and tools; null when the identity was
+  /// never registered (or is a different type).
   const Counter* FindCounter(const std::string& name,
                              const Labels& labels = {}) const;
   const Gauge* FindGauge(const std::string& name,

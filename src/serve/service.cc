@@ -18,10 +18,10 @@ namespace stedb::serve {
 
 namespace {
 
-/// Registry series of the serve layer. Counters are process-cumulative;
-/// /stats subtracts a per-instance baseline (see CounterBaseline). The
-/// per-endpoint request series live next to these but are registered in
-/// RegisterHandlers, where the endpoint label value is known.
+/// Registry series of the serve layer, process-cumulative; GET /metrics
+/// renders them. The per-endpoint request series live next to these but
+/// are registered in RegisterHandlers, where the endpoint label value is
+/// known.
 struct ServeMetrics {
   obs::Registry& reg = obs::Registry::Global();
   obs::Counter& embeds = reg.GetCounter(
@@ -151,15 +151,6 @@ EmbeddingService::EmbeddingService(api::ServingSession session,
   // (writer families render at zero instead of disappearing).
   store::TouchStoreMetrics();
   fwd::TouchTrainMetrics();
-  const ServeMetrics& m = Metrics();
-  baseline_.embeds = m.embeds.Value();
-  baseline_.embed_batches = m.embed_batches.Value();
-  baseline_.coalesce_rounds = m.coalesce_rounds.Value();
-  baseline_.topk_queries = m.topk_queries.Value();
-  baseline_.similar_queries = m.similar_queries.Value();
-  baseline_.polls = m.polls.Value();
-  baseline_.wal_records_applied = m.wal_records_applied.Value();
-  baseline_.reopens = m.reopens.Value();
   RegisterHandlers();
   coalescer_ = std::thread([this] { CoalescerLoop(); });
   if (options_.poll_interval_ms > 0) {
@@ -283,11 +274,6 @@ void EmbeddingService::CoalescerLoop() {
     m.embeds.Inc(round.size());
     m.coalesced_batch.Observe(static_cast<double>(round.size()));
     m.max_coalesced.SetMax(static_cast<double>(round.size()));
-    uint64_t seen = max_coalesced_.load(std::memory_order_relaxed);
-    while (round.size() > seen &&
-           !max_coalesced_.compare_exchange_weak(
-               seen, round.size(), std::memory_order_relaxed)) {
-    }
 
     lk.Lock();
     for (PendingEmbed* slot : round) slot->done = true;
@@ -522,26 +508,13 @@ HttpResponse EmbeddingService::HandleStats(const HttpRequest&) {
   const size_t ef_search =
       options_.ef_search != 0 ? options_.ef_search
                               : api::ServingSession::kDefaultEfSearch;
-  const Stats s = stats();
   HttpResponse resp;
-  resp.body =
-      "{\"num_embedded\":" + std::to_string(num_embedded) +
-      ",\"dim\":" + std::to_string(dim_) +
-      ",\"wal_records\":" + std::to_string(wal_records) +
-      ",\"num_psi\":" + std::to_string(num_psi) +
-      ",\"ann_index\":" + (ann_index ? "true" : "false") +
-      ",\"ef_search\":" + std::to_string(ef_search) +
-      ",\"http_requests\":" + std::to_string(http_.requests_served()) +
-      ",\"embeds\":" + std::to_string(s.embeds) +
-      ",\"embed_batches\":" + std::to_string(s.embed_batches) +
-      ",\"coalesce_rounds\":" + std::to_string(s.coalesce_rounds) +
-      ",\"max_coalesced\":" + std::to_string(s.max_coalesced) +
-      ",\"topk_queries\":" + std::to_string(s.topk_queries) +
-      ",\"similar_queries\":" + std::to_string(s.similar_queries) +
-      ",\"polls\":" + std::to_string(s.polls) +
-      ",\"wal_records_applied\":" +
-      std::to_string(s.wal_records_applied) +
-      ",\"reopens\":" + std::to_string(s.reopens) + "}\n";
+  resp.body = "{\"num_embedded\":" + std::to_string(num_embedded) +
+              ",\"dim\":" + std::to_string(dim_) +
+              ",\"wal_records\":" + std::to_string(wal_records) +
+              ",\"num_psi\":" + std::to_string(num_psi) +
+              ",\"ann_index\":" + (ann_index ? "true" : "false") +
+              ",\"ef_search\":" + std::to_string(ef_search) + "}\n";
   return resp;
 }
 
@@ -552,25 +525,6 @@ HttpResponse EmbeddingService::HandleMetrics(const HttpRequest&) {
   resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
   obs::RenderPrometheus(&resp.body);
   return resp;
-}
-
-EmbeddingService::Stats EmbeddingService::stats() const {
-  const ServeMetrics& m = Metrics();
-  Stats s;
-  s.http_requests = http_.requests_served();
-  s.embeds = m.embeds.Value() - baseline_.embeds;
-  s.embed_batches = m.embed_batches.Value() - baseline_.embed_batches;
-  s.coalesce_rounds =
-      m.coalesce_rounds.Value() - baseline_.coalesce_rounds;
-  s.max_coalesced = max_coalesced_.load(std::memory_order_relaxed);
-  s.topk_queries = m.topk_queries.Value() - baseline_.topk_queries;
-  s.similar_queries =
-      m.similar_queries.Value() - baseline_.similar_queries;
-  s.polls = m.polls.Value() - baseline_.polls;
-  s.wal_records_applied =
-      m.wal_records_applied.Value() - baseline_.wal_records_applied;
-  s.reopens = m.reopens.Value() - baseline_.reopens;
-  return s;
 }
 
 }  // namespace stedb::serve

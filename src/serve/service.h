@@ -57,7 +57,7 @@ struct ServeOptions {
 ///       space — sublinear via the snapshot's persisted HNSW index when
 ///       present, exact scan otherwise; approx=0 forces the exact scan
 ///   GET /facts[?limit=N]              served fact ids (load-gen seed)
-///   GET /stats                        counters + store shape
+///   GET /stats                        store shape (counters: /metrics)
 ///   GET /healthz                      liveness probe
 ///
 /// Concurrency model: HTTP workers take the session lock shared; the
@@ -70,26 +70,6 @@ struct ServeOptions {
 /// on the process pool instead of N scalar walks.
 class EmbeddingService {
  public:
-  /// Counters exposed by /stats (and asserted by tests). Since the obs
-  /// migration these are views over the process-global obs::Registry —
-  /// the same series GET /metrics renders, so the two endpoints can
-  /// never disagree — reported relative to a baseline captured when this
-  /// service instance was opened (the registry is cumulative across
-  /// instances; /stats stays per-instance, which is what the tests and
-  /// the existing JSON consumers assume).
-  struct Stats {
-    uint64_t http_requests = 0;
-    uint64_t embeds = 0;            ///< single-fact lookups served
-    uint64_t embed_batches = 0;     ///< /embed_batch requests
-    uint64_t coalesce_rounds = 0;   ///< EmbedBatch calls the coalescer made
-    uint64_t max_coalesced = 0;     ///< largest single coalesced round
-    uint64_t topk_queries = 0;
-    uint64_t similar_queries = 0;   ///< /similar requests (approx + exact)
-    uint64_t polls = 0;             ///< ticker + PollNow Poll() calls
-    uint64_t wal_records_applied = 0;
-    uint64_t reopens = 0;           ///< compaction-triggered reopens
-  };
-
   /// Opens `<dir>` as a ServingSession and wires the endpoint handlers.
   /// The service starts serving on Start().
   static Result<std::unique_ptr<EmbeddingService>> Open(
@@ -111,7 +91,6 @@ class EmbeddingService {
   /// run the tick hook. Returns the number of WAL records applied.
   Result<size_t> PollNow() STEDB_EXCLUDES(session_mu_);
 
-  Stats stats() const;
   size_t dim() const { return dim_; }
 
  private:
@@ -168,27 +147,6 @@ class EmbeddingService {
   Mutex ticker_mu_;
   std::condition_variable ticker_cv_;
   std::thread ticker_;
-
-  /// Registry counter values at instance construction; stats() subtracts
-  /// them so /stats counts this service's lifetime while /metrics stays
-  /// process-cumulative. (Two *concurrently* live services in one process
-  /// would bleed into each other's deltas — the supported topology is one
-  /// service per process, or sequential instances as in the tests.)
-  struct CounterBaseline {
-    uint64_t embeds = 0;
-    uint64_t embed_batches = 0;
-    uint64_t coalesce_rounds = 0;
-    uint64_t topk_queries = 0;
-    uint64_t similar_queries = 0;
-    uint64_t polls = 0;
-    uint64_t wal_records_applied = 0;
-    uint64_t reopens = 0;
-  };
-  CounterBaseline baseline_;
-
-  /// A max is not delta-able against a baseline; it stays per-instance
-  /// (and is mirrored into a registry gauge as a process-wide ratchet).
-  std::atomic<uint64_t> max_coalesced_{0};
 };
 
 /// Extracts every signed integer from `text` — the lenient fact-id list

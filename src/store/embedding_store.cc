@@ -109,12 +109,12 @@ std::string EmbeddingStore::WalPath(const std::string& dir) {
 }
 
 EmbeddingStore::EmbeddingStore(std::string dir, StoreOptions options,
-                               std::shared_ptr<const ModelCodec> codec,
+                               const ModelCodec* codec,
                                std::unique_ptr<StoredModel> model,
                                WalWriter wal, size_t wal_records, bool torn)
     : dir_(std::move(dir)),
       options_(options),
-      codec_(std::move(codec)),
+      codec_(codec),
       model_(std::move(model)),
       wal_(std::move(wal)),
       wal_records_(wal_records),
@@ -127,7 +127,7 @@ Status EmbeddingStore::WriteSnapshotFile() const {
 }
 
 Result<EmbeddingStore> EmbeddingStore::Create(
-    const std::string& dir, const std::string& method,
+    const std::string& dir, uint32_t method_tag,
     std::unique_ptr<StoredModel> model, StoreOptions options) {
   if (model == nullptr) {
     return Status::InvalidArgument("store: model must not be null");
@@ -135,8 +135,7 @@ Result<EmbeddingStore> EmbeddingStore::Create(
   if (model->dim() == 0) {
     return Status::InvalidArgument("store: model has dimension 0");
   }
-  STEDB_ASSIGN_OR_RETURN(std::shared_ptr<const ModelCodec> codec,
-                         CodecByMethod(method));
+  STEDB_ASSIGN_OR_RETURN(const ModelCodec* codec, CodecByTag(method_tag));
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -150,8 +149,8 @@ Result<EmbeddingStore> EmbeddingStore::Create(
   STEDB_RETURN_IF_ERROR(ResetWal(WalPath(dir), model->dim()));
   STEDB_ASSIGN_OR_RETURN(WalWriter wal,
                          WalWriter::Open(WalPath(dir), model->dim()));
-  EmbeddingStore store(dir, options, std::move(codec), std::move(model),
-                       std::move(wal), /*wal_records=*/0, /*torn=*/false);
+  EmbeddingStore store(dir, options, codec, std::move(model), std::move(wal),
+                       /*wal_records=*/0, /*torn=*/false);
   store.journal_bytes_ = kWalHeaderBytes;
   return store;
 }
@@ -162,7 +161,7 @@ Result<EmbeddingStore> EmbeddingStore::Open(const std::string& dir,
   STEDB_RETURN_IF_ERROR(ReadFileToString(SnapshotPath(dir), &bytes));
   STEDB_ASSIGN_OR_RETURN(ParsedSnapshot snap,
                          ParseSnapshotContainer(bytes.data(), bytes.size()));
-  STEDB_ASSIGN_OR_RETURN(std::shared_ptr<const ModelCodec> codec,
+  STEDB_ASSIGN_OR_RETURN(const ModelCodec* codec,
                          CodecByTag(snap.header.method_tag));
   STEDB_ASSIGN_OR_RETURN(std::unique_ptr<StoredModel> model,
                          codec->Decode(snap));
@@ -180,9 +179,8 @@ Result<EmbeddingStore> EmbeddingStore::Open(const std::string& dir,
   }
   STEDB_ASSIGN_OR_RETURN(WalWriter wal,
                          WalWriter::Open(WalPath(dir), model->dim()));
-  EmbeddingStore store(dir, options, std::move(codec), std::move(model),
-                       std::move(wal), replay.records.size(),
-                       replay.torn_tail);
+  EmbeddingStore store(dir, options, codec, std::move(model), std::move(wal),
+                       replay.records.size(), replay.torn_tail);
   store.journal_bytes_ = replay.valid_bytes;
   return store;
 }

@@ -65,15 +65,15 @@ struct StoreOptions {
 /// wal.h).
 ///
 /// The store is method-agnostic. Snapshot bytes are produced and parsed by
-/// the method's registered store::ModelCodec — the snapshot header carries
-/// the codec's method tag, so `Open(dir)` resolves the right codec from
-/// the file alone and a FoRWaRD and a Node2Vec store directory behave
-/// identically from here up (EmbeddingStore, MmapSnapshot,
+/// the method's store::ModelCodec — the snapshot header carries the
+/// codec's method tag, so `Open(dir)` resolves the right codec from the
+/// file alone (CodecByTag), and a FoRWaRD and a Node2Vec store directory
+/// behave identically from here up (EmbeddingStore, MmapSnapshot,
 /// api::ServingSession). The journal layer was method-agnostic from the
 /// start: one record per extended fact's final vector.
 ///
 /// Lifecycle
-///   * `Create(dir, method, model)` — persist a freshly trained model:
+///   * `Create(dir, method_tag, model)` — persist a freshly trained model:
 ///     snapshot written atomically via the method's codec, journal reset
 ///     to empty.
 ///   * `Append(fact, phi)`  — journal one extension. The paper's stability
@@ -98,11 +98,11 @@ struct StoreOptions {
 class EmbeddingStore {
  public:
   /// Persists `model` as the initial snapshot of a new (or re-initialized)
-  /// store directory using the codec registered for `method` (an api
-  /// method-registry name, matched case-insensitively), discarding any
+  /// store directory using the codec for `method_tag`
+  /// (fwd::kForwardMethodTag or n2v::kNode2VecMethodTag), discarding any
   /// previous journal.
   static Result<EmbeddingStore> Create(const std::string& dir,
-                                       const std::string& method,
+                                       uint32_t method_tag,
                                        std::unique_ptr<StoredModel> model,
                                        StoreOptions options = StoreOptions());
 
@@ -145,9 +145,7 @@ class EmbeddingStore {
   EmbeddingSink MakeSink();
 
   const StoredModel& model() const { return *model_; }
-  /// The codec that owns this store's snapshot format.
-  const ModelCodec& codec() const { return *codec_; }
-  /// The api method-registry name of the stored model ("forward", ...).
+  /// The name of the stored model's method ("forward" or "node2vec").
   std::string method() const { return codec_->method(); }
   const std::string& dir() const { return dir_; }
   /// Journal records not yet folded into the snapshot.
@@ -163,7 +161,7 @@ class EmbeddingStore {
 
  private:
   EmbeddingStore(std::string dir, StoreOptions options,
-                 std::shared_ptr<const ModelCodec> codec,
+                 const ModelCodec* codec,
                  std::unique_ptr<StoredModel> model, WalWriter wal,
                  size_t wal_records, bool torn);
 
@@ -176,7 +174,7 @@ class EmbeddingStore {
 
   std::string dir_;
   StoreOptions options_;
-  std::shared_ptr<const ModelCodec> codec_;
+  const ModelCodec* codec_ = nullptr;
   std::unique_ptr<StoredModel> model_;
   WalWriter wal_;
   size_t wal_records_ = 0;

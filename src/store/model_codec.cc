@@ -1,28 +1,9 @@
 #include "src/store/model_codec.h"
 
 #include <cctype>
-#include <map>
 #include <utility>
 
-#include "src/common/string_util.h"
-#include "src/common/thread_annotations.h"
-
-// stedb:deterministic-output — RegisteredModelCodecs() and the
-// "registered:" diagnostics are user-visible sorted lists; the registry
-// stays std::map and iteration below must stay over ordered containers.
-
 namespace stedb::store {
-namespace internal {
-
-// Defined in builtin_codecs.cc. Enumerated from the registry under its
-// lock so the built-in codecs are present before any user-visible lookup;
-// the explicit call (rather than static initializers in the codec TUs)
-// keeps registration immune to static-library dead-stripping — the same
-// pattern as the api method registry.
-std::vector<std::shared_ptr<const ModelCodec>> BuiltinCodecs();
-
-}  // namespace internal
-
 namespace {
 
 constexpr char kMagic[8] = {'S', 'T', 'E', 'D', 'B', 'S', 'N', 'P'};
@@ -30,68 +11,6 @@ constexpr char kMagic[8] = {'S', 'T', 'E', 'D', 'B', 'S', 'N', 'P'};
 /// Generous structural ceiling: a corrupted section count must not turn
 /// into an unbounded parse loop before any size check fires.
 constexpr uint32_t kMaxSections = 1 << 10;
-
-Mutex& RegistryMutex() {
-  static Mutex mu;
-  return mu;
-}
-
-struct CodecRegistry {
-  std::map<std::string, std::shared_ptr<const ModelCodec>> by_method;
-  std::map<uint32_t, std::shared_ptr<const ModelCodec>> by_tag;
-};
-
-CodecRegistry& Registry() STEDB_REQUIRES(RegistryMutex()) {
-  static CodecRegistry registry;
-  return registry;
-}
-
-Status RegisterLocked(std::shared_ptr<const ModelCodec> codec)
-    STEDB_REQUIRES(RegistryMutex());
-
-void EnsureBuiltinsLocked() STEDB_REQUIRES(RegistryMutex()) {
-  static bool done = false;
-  if (!done) {
-    done = true;
-    // Failure is impossible here (fresh registry, distinct names and
-    // tags); the statuses are consumed to keep the call warning-clean.
-    for (auto& codec : internal::BuiltinCodecs()) {
-      (void)RegisterLocked(std::move(codec));
-    }
-  }
-}
-
-Status RegisterLocked(std::shared_ptr<const ModelCodec> codec) {
-  if (codec == nullptr) {
-    return Status::InvalidArgument("model codec must not be null");
-  }
-  const std::string key = ToLower(codec->method());
-  if (key.empty()) {
-    return Status::InvalidArgument("model codec method name must not be empty");
-  }
-  CodecRegistry& registry = Registry();
-  if (registry.by_method.count(key) > 0) {
-    return Status::AlreadyExists("model codec for method '" + key +
-                                 "' is already registered");
-  }
-  if (registry.by_tag.count(codec->method_tag()) > 0) {
-    return Status::AlreadyExists("model codec tag '" +
-                                 FourCcToString(codec->method_tag()) +
-                                 "' is already registered");
-  }
-  registry.by_tag.emplace(codec->method_tag(), codec);
-  registry.by_method.emplace(key, std::move(codec));
-  return Status::OK();
-}
-
-std::string KnownMethodsLocked() STEDB_REQUIRES(RegistryMutex()) {
-  std::string known;
-  for (const auto& [key, unused] : Registry().by_method) {
-    if (!known.empty()) known += ", ";
-    known += key;
-  }
-  return known;
-}
 
 }  // namespace
 
@@ -128,8 +47,8 @@ Result<ParsedSnapshot> ParseSnapshotContainer(const char* data, size_t size) {
     if (version < kSnapshotContainerVersion) {
       return Status::InvalidArgument(
           "snapshot: format version " + std::to_string(version) +
-          " was written by an older binary and predates the codec "
-          "registry; re-create the store (this binary reads version " +
+          " was written by an older binary and predates the method "
+          "tag; re-create the store (this binary reads version " +
           std::to_string(kSnapshotContainerVersion) + ")");
     }
     return Status::InvalidArgument(
@@ -281,47 +200,6 @@ Status DecodePhiPayload(const SnapshotSection& section, size_t dim,
     into->set_phi(static_cast<db::FactId>(fact), std::move(vec));
   }
   return Status::OK();
-}
-
-Status RegisterModelCodec(std::shared_ptr<const ModelCodec> codec) {
-  MutexLock lock(RegistryMutex());
-  EnsureBuiltinsLocked();
-  return RegisterLocked(std::move(codec));
-}
-
-Result<std::shared_ptr<const ModelCodec>> CodecByMethod(
-    const std::string& method) {
-  MutexLock lock(RegistryMutex());
-  EnsureBuiltinsLocked();
-  auto it = Registry().by_method.find(ToLower(method));
-  if (it == Registry().by_method.end()) {
-    return Status::NotFound("no model codec for method '" + method +
-                            "' (registered: " + KnownMethodsLocked() + ")");
-  }
-  return it->second;
-}
-
-Result<std::shared_ptr<const ModelCodec>> CodecByTag(uint32_t method_tag) {
-  MutexLock lock(RegistryMutex());
-  EnsureBuiltinsLocked();
-  auto it = Registry().by_tag.find(method_tag);
-  if (it == Registry().by_tag.end()) {
-    return Status::NotFound("no model codec for snapshot method tag '" +
-                            FourCcToString(method_tag) +
-                            "' (registered: " + KnownMethodsLocked() + ")");
-  }
-  return it->second;
-}
-
-std::vector<std::string> RegisteredModelCodecs() {
-  MutexLock lock(RegistryMutex());
-  EnsureBuiltinsLocked();
-  std::vector<std::string> names;
-  names.reserve(Registry().by_method.size());
-  for (const auto& [key, unused] : Registry().by_method) {
-    names.push_back(key);
-  }
-  return names;  // std::map iterates sorted
 }
 
 }  // namespace stedb::store

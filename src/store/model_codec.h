@@ -136,18 +136,17 @@ std::string EncodePhiPayload(const StoredModel& model);
 Status DecodePhiPayload(const SnapshotSection& section, size_t dim,
                         StoredModel* into);
 
-// ---- Codec interface and registry --------------------------------------
+// ---- Codecs --------------------------------------------------------------
 
 /// Converts between a method's in-memory model (behind StoredModel) and
-/// its snapshot bytes. One codec per registered embedding method; the
-/// codec's `method()` matches the api method-registry name and its
+/// its snapshot bytes. There is one codec per embedding method; its
 /// `method_tag()` is persisted in every snapshot header, so
 /// EmbeddingStore::Open can resolve the right codec from the file alone.
 class ModelCodec {
  public:
   virtual ~ModelCodec() = default;
 
-  /// The api-registry method name this codec persists (case-folded).
+  /// The name of the method this codec persists ("forward", "node2vec").
   virtual std::string method() const = 0;
   /// The fourcc written to (and matched against) the snapshot header.
   virtual uint32_t method_tag() const = 0;
@@ -165,22 +164,10 @@ class ModelCodec {
       const ParsedSnapshot& snapshot) const = 0;
 };
 
-/// Registers a codec under its method() name and method_tag(). The
-/// built-ins — FoRWaRD ('FWD ') and Node2Vec ('N2V ') — self-register
-/// before any lookup. AlreadyExists when the name or tag is taken.
-/// Thread-safe.
-Status RegisterModelCodec(std::shared_ptr<const ModelCodec> codec);
-
-/// Codec for an api method name (case-insensitive); NotFound (listing what
-/// is registered) for unknown names. Thread-safe.
-Result<std::shared_ptr<const ModelCodec>> CodecByMethod(
-    const std::string& method);
-
-/// Codec for a snapshot header's method tag; NotFound for unknown tags.
-Result<std::shared_ptr<const ModelCodec>> CodecByTag(uint32_t method_tag);
-
-/// The registered codec method names (case-folded), sorted.
-std::vector<std::string> RegisteredModelCodecs();
+/// The codec for a snapshot method tag: FoRWaRD's ('FWD ') or Node2Vec's
+/// ('N2V '). NotFound, naming the tag and both methods, for any other.
+/// The codecs are static; the pointer is valid for the whole process.
+Result<const ModelCodec*> CodecByTag(uint32_t method_tag);
 
 }  // namespace stedb::store
 

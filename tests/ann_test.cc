@@ -23,6 +23,7 @@
 #include "src/api/serving.h"
 #include "src/common/rng.h"
 #include "src/la/kernels.h"
+#include "src/n2v/codec.h"
 #include "src/store/embedding_store.h"
 #include "src/store/format.h"
 #include "src/store/stored_model.h"
@@ -469,8 +470,8 @@ StoreFixture MakeAnnStore(const std::string& name,
   fx.dir = FreshDir(name);
   store::StoreOptions options;
   options.build_ann_index = true;
-  auto created = store::EmbeddingStore::Create(fx.dir, "node2vec",
-                                               std::move(model), options);
+  auto created = store::EmbeddingStore::Create(
+      fx.dir, n2v::kNode2VecMethodTag, std::move(model), options);
   EXPECT_TRUE(created.ok()) << created.status();
 
   auto payload = ann::BuildHnsw(
@@ -579,8 +580,8 @@ TEST(ServingSimilarTest, StoreWithoutIndexFallsBackToExactScan) {
     model->set_phi(static_cast<db::FactId>(i), RowVector(data, dim, i));
   }
   const std::string dir = FreshDir("ann_no_index");
-  auto created =
-      store::EmbeddingStore::Create(dir, "node2vec", std::move(model));
+  auto created = store::EmbeddingStore::Create(dir, n2v::kNode2VecMethodTag,
+                                               std::move(model));
   ASSERT_TRUE(created.ok()) << created.status();
 
   auto session = api::ServingSession::Open(dir);

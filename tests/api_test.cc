@@ -1,20 +1,15 @@
-// The public api layer: method registry semantics, the Engine facade, the
-// batch read path (EmbedBatch vs scalar Embed must be bit-identical for
-// both built-in methods, before and after dynamic extensions, at any
-// thread count), and the fatal STEDB_SCALE rejection.
+// The public api layer: CreateMethod's name lookup, journaling through
+// the Embedder interface, the batch read path (EmbedBatch vs scalar Embed
+// must be bit-identical for both methods, before and after dynamic
+// extensions, at any thread count), and the fatal STEDB_SCALE rejection.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 
-#include "src/api/engine.h"
-#include "src/api/registry.h"
-#include "src/data/registry.h"
+#include "src/api/embedder.h"
 #include "src/exp/embedding_method.h"
-#include "src/exp/partition.h"
-#include "src/exp/static_experiment.h"
 #include "tests/test_util.h"
 
 namespace stedb {
@@ -27,146 +22,93 @@ exp::MethodConfig SmokeOptions() {
   return exp::MethodConfig::ForScale(exp::RunScale::kSmoke);
 }
 
-// ---- Registry ----------------------------------------------------------
-
-TEST(RegistryTest, BuiltinsAreRegistered) {
-  const std::vector<std::string> names = api::RegisteredMethods();
-  EXPECT_NE(std::find(names.begin(), names.end(), "forward"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "node2vec"), names.end());
+/// Creates `method` and trains it on the movie database's collaborations.
+Result<std::unique_ptr<api::Embedder>> Train(const db::Database& database,
+                                             const std::string& method,
+                                             const api::MethodOptions& options,
+                                             uint64_t seed) {
+  STEDB_ASSIGN_OR_RETURN(std::unique_ptr<api::Embedder> embedder,
+                         api::CreateMethod(method, options, seed));
+  STEDB_RETURN_IF_ERROR(embedder->TrainStatic(
+      &database, database.schema().RelationIndex("COLLABORATIONS"), {}));
+  return embedder;
 }
 
-TEST(RegistryTest, LookupIsCaseInsensitive) {
-  EXPECT_TRUE(api::CreateMethod("FoRWaRD", SmokeOptions(), 1).ok());
-  EXPECT_TRUE(api::CreateMethod("Node2Vec", SmokeOptions(), 1).ok());
-}
+// ---- CreateMethod ------------------------------------------------------
 
-TEST(RegistryTest, UnknownMethodIsNotFoundAndListsRegistered) {
-  auto res = api::CreateMethod("no_such_method", SmokeOptions(), 1);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kNotFound);
-  // The error is actionable: it names what IS registered.
-  EXPECT_NE(res.status().message().find("forward"), std::string::npos);
-}
-
-TEST(RegistryTest, DuplicateRegistrationFails) {
-  Status st = api::RegisterMethod(
-      "Forward", [](const api::MethodOptions&, uint64_t) {
-        return std::unique_ptr<api::Embedder>();
-      });
-  EXPECT_EQ(st.code(), StatusCode::kAlreadyExists);
-}
-
-TEST(RegistryTest, InvalidRegistrationsRejected) {
-  EXPECT_EQ(api::RegisterMethod("", nullptr).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(api::RegisterMethod("x", nullptr).code(),
-            StatusCode::kInvalidArgument);
-}
-
-/// A registered third-party method: embeds every fact as a constant
-/// vector. Exercises the open registry end to end, including the default
-/// (scalar-loop) EmbedBatch implementation.
-class ConstantMethod : public api::Embedder {
- public:
-  Status TrainStatic(const db::Database* database, db::RelationId rel,
-                     const api::AttrKeySet& excluded) override {
-    (void)database;
-    (void)rel;
-    (void)excluded;
-    trained_ = true;
-    return Status::OK();
+TEST(CreateMethodTest, BothMethodsInAnyCase) {
+  for (const char* name : {"forward", "FoRWaRD", "FORWARD"}) {
+    auto made = api::CreateMethod(name, SmokeOptions(), 1);
+    ASSERT_TRUE(made.ok()) << name << ": " << made.status();
+    EXPECT_EQ(made.value()->Name(), "FoRWaRD");
   }
-  Status ExtendToFacts(const std::vector<db::FactId>&) override {
-    return Status::OK();
+  for (const char* name : {"node2vec", "Node2Vec", "NODE2VEC"}) {
+    auto made = api::CreateMethod(name, SmokeOptions(), 1);
+    ASSERT_TRUE(made.ok()) << name << ": " << made.status();
+    EXPECT_EQ(made.value()->Name(), "Node2Vec");
   }
-  Result<la::Vector> Embed(db::FactId f) const override {
-    if (!trained_) return Status::FailedPrecondition("untrained");
-    return la::Vector{static_cast<double>(f), 1.0, 2.0};
-  }
-  std::string Name() const override { return "Constant"; }
-  size_t dim() const override { return 3; }
-
- private:
-  bool trained_ = false;
-};
-
-TEST(RegistryTest, ThirdPartyMethodPlugsIntoEngine) {
-  // Registration survives for the process lifetime; the suffixed name
-  // keeps this test independent of execution order.
-  static const Status registered = api::RegisterMethod(
-      "constant_test_method", [](const api::MethodOptions&, uint64_t) {
-        return std::unique_ptr<api::Embedder>(new ConstantMethod());
-      });
-  ASSERT_TRUE(registered.ok()) << registered;
-
-  db::Database database = MovieDatabase();
-  auto engine =
-      api::Engine::Train(&database, "constant_test_method",
-                         database.schema().RelationIndex("COLLABORATIONS"),
-                         {}, SmokeOptions(), 1);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  EXPECT_EQ(engine.value().method(), "Constant");
-  EXPECT_EQ(engine.value().dim(), 3u);
-  // The default EmbedBatch (scalar loop) serves registered methods.
-  const std::vector<db::FactId> facts = {4, 7};
-  la::Matrix out = engine.value().EmbedBatch(facts).value();
-  EXPECT_EQ(out.Row(0), (la::Vector{4.0, 1.0, 2.0}));
-  EXPECT_EQ(out.Row(1), (la::Vector{7.0, 1.0, 2.0}));
 }
 
-// ---- Engine journaling (any method) -----------------------------------
+TEST(CreateMethodTest, UnknownMethodIsNotFoundAndNamesBoth) {
+  for (const char* name : {"no_such_method", "", "forward2vec"}) {
+    auto res = api::CreateMethod(name, SmokeOptions(), 1);
+    ASSERT_FALSE(res.ok()) << name;
+    EXPECT_EQ(res.status().code(), StatusCode::kNotFound);
+    // The error is actionable: it names the methods that exist.
+    EXPECT_NE(res.status().message().find("forward, node2vec"),
+              std::string::npos)
+        << res.status();
+  }
+}
 
-class EngineJournalTest : public ::testing::TestWithParam<const char*> {};
+// ---- Journaling (both methods) -----------------------------------------
 
-TEST_P(EngineJournalTest, AttachExtendVerifyIsBitExact) {
-  // AttachJournal used to be FoRWaRD-only; with the codec registry every
-  // built-in method journals through the same Engine surface and recovers
+class EmbedderJournalTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(EmbedderJournalTest, AttachExtendVerifyIsBitExact) {
+  // Every method journals through the same Embedder surface and recovers
   // bit-exactly.
   db::Database database = MovieDatabase();
-  const db::RelationId collab =
-      database.schema().RelationIndex("COLLABORATIONS");
-  auto trained = api::Engine::Train(&database, GetParam(), collab, {},
-                                    SmokeOptions(), 7);
+  auto trained = Train(database, GetParam(), SmokeOptions(), 7);
   ASSERT_TRUE(trained.ok()) << trained.status();
-  api::Engine engine = std::move(trained).value();
+  api::Embedder& embedder = *trained.value();
 
-  const std::string dir = ::testing::TempDir() + "/stedb_engine_journal_" +
+  const std::string dir = ::testing::TempDir() + "/stedb_journal_" +
                           std::string(GetParam());
   std::filesystem::remove_all(dir);
-  ASSERT_TRUE(engine.AttachJournal(dir).ok());
+  ASSERT_TRUE(embedder.AttachJournal(dir).ok());
 
   db::FactId c4 = InsertC4(database);
-  ASSERT_TRUE(engine.ExtendToFacts({c4}).ok());
+  ASSERT_TRUE(embedder.ExtendToFacts({c4}).ok());
 
-  auto drift = engine.VerifyJournal();
+  auto drift = embedder.VerifyJournal();
   ASSERT_TRUE(drift.ok()) << drift.status();
   EXPECT_EQ(drift.value(), 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothMethods, EngineJournalTest,
+INSTANTIATE_TEST_SUITE_P(BothMethods, EmbedderJournalTest,
                          ::testing::Values("forward", "node2vec"));
 
-// ---- Engine + batch reads ---------------------------------------------
+// ---- Batch reads -------------------------------------------------------
 
-class EngineBatchTest : public ::testing::TestWithParam<const char*> {};
+class EmbedderBatchTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(EngineBatchTest, BatchMatchesScalarThroughExtension) {
+TEST_P(EmbedderBatchTest, BatchMatchesScalarThroughExtension) {
   db::Database database = MovieDatabase();
   const db::RelationId collab =
       database.schema().RelationIndex("COLLABORATIONS");
-  auto trained = api::Engine::Train(&database, GetParam(), collab, {},
-                                    SmokeOptions(), 42);
+  auto trained = Train(database, GetParam(), SmokeOptions(), 42);
   ASSERT_TRUE(trained.ok()) << trained.status();
-  api::Engine engine = std::move(trained).value();
-  EXPECT_GT(engine.dim(), 0u);
+  api::Embedder& embedder = *trained.value();
+  EXPECT_GT(embedder.dim(), 0u);
 
   auto check_equivalence = [&](const std::vector<db::FactId>& facts) {
-    la::Matrix batch(facts.size(), engine.dim());
-    ASSERT_TRUE(engine.EmbedBatch(facts, batch).ok());
+    la::Matrix batch(facts.size(), embedder.dim());
+    ASSERT_TRUE(embedder.EmbedBatch(facts, batch).ok());
     for (size_t i = 0; i < facts.size(); ++i) {
       // Bit-identical, not approximately equal: the batch path must be
       // the same read, only vectorized.
-      EXPECT_EQ(batch.Row(i), engine.Embed(facts[i]).value())
+      EXPECT_EQ(batch.Row(i), embedder.Embed(facts[i]).value())
           << "fact " << facts[i];
     }
   };
@@ -177,17 +119,17 @@ TEST_P(EngineBatchTest, BatchMatchesScalarThroughExtension) {
 
   // After a dynamic extension the new fact must round-trip too.
   db::FactId c4 = InsertC4(database);
-  ASSERT_TRUE(engine.ExtendToFacts({c4}).ok());
+  ASSERT_TRUE(embedder.ExtendToFacts({c4}).ok());
   facts.push_back(c4);
   check_equivalence(facts);
 }
 
-TEST_P(EngineBatchTest, ParallelBatchIsBitIdenticalToSerial) {
+TEST_P(EmbedderBatchTest, ParallelBatchIsBitIdenticalToSerial) {
   db::Database database = MovieDatabase();
   const db::RelationId collab =
       database.schema().RelationIndex("COLLABORATIONS");
-  // Two engines, same seed, different thread pins: the batch gather must
-  // not depend on the pool size.
+  // Two embedders, same seed, different thread pins: the batch gather
+  // must not depend on the pool size.
   exp::MethodConfig serial_cfg = SmokeOptions();
   serial_cfg.forward.threads = 1;
   serial_cfg.node2vec.sg.threads = 1;
@@ -196,70 +138,55 @@ TEST_P(EngineBatchTest, ParallelBatchIsBitIdenticalToSerial) {
   parallel_cfg.forward.threads = 4;
   parallel_cfg.node2vec.sg.threads = 4;
   parallel_cfg.node2vec.walk.threads = 4;
-  auto serial = api::Engine::Train(&database, GetParam(), collab, {},
-                                   serial_cfg, 42);
-  auto parallel = api::Engine::Train(&database, GetParam(), collab, {},
-                                     parallel_cfg, 42);
+  auto serial = Train(database, GetParam(), serial_cfg, 42);
+  auto parallel = Train(database, GetParam(), parallel_cfg, 42);
   ASSERT_TRUE(serial.ok()) << serial.status();
   ASSERT_TRUE(parallel.ok()) << parallel.status();
 
   // Cycle the fact list well past the parallel-gather threshold so the
-  // 4-thread engine actually fans out.
+  // 4-thread embedder actually fans out.
   const std::vector<db::FactId> base = database.FactsOf(collab);
   std::vector<db::FactId> many;
   for (size_t i = 0; i < 200; ++i) many.push_back(base[i % base.size()]);
-  la::Matrix a = serial.value().EmbedBatch(many).value();
-  la::Matrix b = parallel.value().EmbedBatch(many).value();
+  const size_t dim = serial.value()->dim();
+  la::Matrix a(many.size(), dim);
+  la::Matrix b(many.size(), dim);
+  ASSERT_TRUE(serial.value()->EmbedBatch(many, a).ok());
+  ASSERT_TRUE(parallel.value()->EmbedBatch(many, b).ok());
   EXPECT_EQ(a.data(), b.data());
 }
 
-TEST_P(EngineBatchTest, BatchErrorCases) {
+TEST_P(EmbedderBatchTest, BatchErrorCases) {
   db::Database database = MovieDatabase();
   const db::RelationId collab =
       database.schema().RelationIndex("COLLABORATIONS");
-  auto engine = api::Engine::Train(&database, GetParam(), collab, {},
-                                   SmokeOptions(), 7);
-  ASSERT_TRUE(engine.ok()) << engine.status();
+  auto trained = Train(database, GetParam(), SmokeOptions(), 7);
+  ASSERT_TRUE(trained.ok()) << trained.status();
+  const api::Embedder& embedder = *trained.value();
 
   const std::vector<db::FactId> facts = database.FactsOf(collab);
-  la::Matrix wrong_rows(facts.size() + 1, engine.value().dim());
-  EXPECT_EQ(engine.value().EmbedBatch(facts, wrong_rows).code(),
+  la::Matrix wrong_rows(facts.size() + 1, embedder.dim());
+  EXPECT_EQ(embedder.EmbedBatch(facts, wrong_rows).code(),
             StatusCode::kInvalidArgument);
-  la::Matrix wrong_cols(facts.size(), engine.value().dim() + 1);
-  EXPECT_EQ(engine.value().EmbedBatch(facts, wrong_cols).code(),
+  la::Matrix wrong_cols(facts.size(), embedder.dim() + 1);
+  EXPECT_EQ(embedder.EmbedBatch(facts, wrong_cols).code(),
             StatusCode::kInvalidArgument);
 
   std::vector<db::FactId> with_missing = facts;
   with_missing.push_back(123456);  // never embedded
-  la::Matrix out(with_missing.size(), engine.value().dim());
-  EXPECT_EQ(engine.value().EmbedBatch(with_missing, out).code(),
+  la::Matrix out(with_missing.size(), embedder.dim());
+  EXPECT_EQ(embedder.EmbedBatch(with_missing, out).code(),
             StatusCode::kNotFound);
 
-  la::Matrix empty(0, engine.value().dim());
-  EXPECT_TRUE(engine.value()
-                  .EmbedBatch(Span<const db::FactId>(), empty)
-                  .ok());
+  la::Matrix empty(0, embedder.dim());
+  EXPECT_TRUE(embedder.EmbedBatch(Span<const db::FactId>(), empty).ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(Methods, EngineBatchTest,
+INSTANTIATE_TEST_SUITE_P(Methods, EmbedderBatchTest,
                          ::testing::Values("forward", "node2vec"),
                          [](const auto& param_info) {
                            return std::string(param_info.param);
                          });
-
-TEST(EngineTest, UnknownMethodFailsTrain) {
-  db::Database database = MovieDatabase();
-  auto engine = api::Engine::Train(
-      &database, "bogus", database.schema().RelationIndex("COLLABORATIONS"),
-      {}, SmokeOptions(), 1);
-  EXPECT_EQ(engine.status().code(), StatusCode::kNotFound);
-}
-
-TEST(EngineTest, NullDatabaseRejected) {
-  auto engine =
-      api::Engine::Train(nullptr, "forward", 0, {}, SmokeOptions(), 1);
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
-}
 
 // ---- STEDB_SCALE hard rejection ---------------------------------------
 

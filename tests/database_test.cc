@@ -112,6 +112,18 @@ TEST(DatabaseTest, DeleteUnreferencedFact) {
   EXPECT_EQ(database.Referencing(s3, 0).size(), 1u);
 }
 
+TEST(DatabaseTest, DeletedFactHasNoReferences) {
+  Database database = MovieDatabase();
+  FactId m1 = FindFact(database, "MOVIES", {"m01"});
+  ASSERT_NE(database.Referenced(m1, 0), kNoFact);  // m01's studio, s03
+  ASSERT_TRUE(database.Delete(m1).ok());
+  const FkId num_fks = static_cast<FkId>(database.schema().num_foreign_keys());
+  for (FkId fk = 0; fk < num_fks; ++fk) {
+    EXPECT_EQ(database.Referenced(m1, fk), kNoFact) << "fk " << fk;
+    EXPECT_TRUE(database.Referencing(m1, fk).empty()) << "fk " << fk;
+  }
+}
+
 TEST(DatabaseTest, DeleteReferencedFactFails) {
   Database database = MovieDatabase();
   FactId a1 = FindFact(database, "ACTORS", {"a01"});

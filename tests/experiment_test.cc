@@ -163,16 +163,19 @@ TEST(MethodConfigTest, ScalePresetsOrdered) {
   EXPECT_EQ(paper.node2vec.walk.walk_length, 30);
 }
 
-TEST(MethodFactoryTest, NamesAndErrors) {
-  auto fwd = std::move(MakeMethod("forward", SmokeMethods(), 1)).value();
-  auto n2v = std::move(MakeMethod("node2vec", SmokeMethods(), 1)).value();
+TEST(CreateMethodTest, NamesAndErrors) {
+  auto fwd =
+      std::move(api::CreateMethod("forward", SmokeMethods(), 1)).value();
+  auto n2v =
+      std::move(api::CreateMethod("node2vec", SmokeMethods(), 1)).value();
   EXPECT_EQ(fwd->Name(), "FoRWaRD");
   EXPECT_EQ(n2v->Name(), "Node2Vec");
-  // Registry names are case-insensitive; display names resolve too.
-  EXPECT_TRUE(MakeMethod("FoRWaRD", SmokeMethods(), 1).ok());
+  // Method names are case-insensitive; display names resolve too.
+  EXPECT_TRUE(api::CreateMethod("FoRWaRD", SmokeMethods(), 1).ok());
   // An unknown name is NotFound, both here and in the experiment runners.
-  EXPECT_EQ(MakeMethod("no_such_method", SmokeMethods(), 1).status().code(),
-            StatusCode::kNotFound);
+  EXPECT_EQ(
+      api::CreateMethod("no_such_method", SmokeMethods(), 1).status().code(),
+      StatusCode::kNotFound);
   StaticConfig scfg;
   EXPECT_EQ(RunStaticExperiment(SmokeGenes(), "no_such_method",
                                 SmokeMethods(), scfg)

@@ -66,9 +66,10 @@ TEST(ForwardModelTest, ScoreMatchesBilinearForm) {
   la::LeftProject(model.phi(1).data(), model.psi(0).data().data(), 4, 4,
                   u.data());
   EXPECT_EQ(score, la::Dot(u, model.phi(2)));
-  // The same bilinear form as la::BilinearForm, summed in another order.
-  const double expected =
-      la::BilinearForm(model.phi(1), model.psi(0), model.phi(2));
+  // The same bilinear form, summed in another order.
+  const double expected = stedb::testing::ReferenceBilinearForm(
+      model.phi(1).data(), model.psi(0).data().data(), model.phi(2).data(),
+      4, 4);
   EXPECT_DOUBLE_EQ(score, expected);
   // ψ symmetric => score symmetric in its fact arguments.
   EXPECT_NEAR(score, model.Score(2, 1, 0), 1e-12);

@@ -25,7 +25,7 @@ TEST_P(MethodIntegrationTest, Example31WorkflowOnMovies) {
   // old embedding frozen — exactly Example 3.1.
   db::Database database = MovieDatabase();
   exp::MethodConfig mcfg = exp::MethodConfig::ForScale(exp::RunScale::kSmoke);
-  auto method = std::move(exp::MakeMethod(GetParam(), mcfg, 42)).value();
+  auto method = std::move(api::CreateMethod(GetParam(), mcfg, 42)).value();
   ASSERT_TRUE(method
                   ->TrainStatic(&database,
                                 database.schema().RelationIndex(
@@ -67,7 +67,7 @@ TEST_P(MethodIntegrationTest, StreamOfArrivalsStaysStable) {
   ASSERT_TRUE(part.ok());
 
   exp::MethodConfig mcfg = exp::MethodConfig::ForScale(exp::RunScale::kSmoke);
-  auto method = std::move(exp::MakeMethod(GetParam(), mcfg, 7)).value();
+  auto method = std::move(api::CreateMethod(GetParam(), mcfg, 7)).value();
   ASSERT_TRUE(method
                   ->TrainStatic(&database, ds.pred_rel,
                                 exp::LabelExclusion(ds))
@@ -120,7 +120,7 @@ TEST(IntegrationTest, DownstreamClassifierOnFrozenEmbeddings) {
   ASSERT_TRUE(part.ok());
 
   exp::MethodConfig mcfg = exp::MethodConfig::ForScale(exp::RunScale::kSmoke);
-  auto method = std::move(exp::MakeMethod("forward", mcfg, 13)).value();
+  auto method = std::move(api::CreateMethod("forward", mcfg, 13)).value();
   ASSERT_TRUE(method
                   ->TrainStatic(&database, ds.pred_rel,
                                 exp::LabelExclusion(ds))

@@ -182,21 +182,13 @@ TEST(KernelsBitEqualityTest, MatrixKernelsMatchScalarBitForBit) {
   for (const auto& shape : shapes) {
     const size_t rows = shape[0], cols = shape[1];
     std::vector<double> m = RandomBuf(rng, rows * cols, 0);
-    std::vector<double> x = RandomBuf(rng, rows, 0);
     std::vector<double> y = RandomBuf(rng, cols, 0);
-    // Sprinkle zeros into x: BilinearImpl skips zero x_i rows and the skip
-    // must not depend on the path.
-    for (size_t i = 0; i < rows; i += 3) x[i] = 0.0;
 
     std::vector<double> out_sc(rows), out_vx(rows);
     sc.matvec(m.data(), rows, cols, y.data(), out_sc.data());
     vx.matvec(m.data(), rows, cols, y.data(), out_vx.data());
     EXPECT_TRUE(BitEq(out_sc, out_vx))
         << "matvec " << rows << "x" << cols;
-
-    EXPECT_TRUE(BitEq(sc.bilinear(x.data(), m.data(), y.data(), rows, cols),
-                      vx.bilinear(x.data(), m.data(), y.data(), rows, cols)))
-        << "bilinear " << rows << "x" << cols;
   }
 }
 
@@ -453,25 +445,18 @@ TEST(KernelsReferenceTest, MatrixKernelsFollowTheDocumentedOrder) {
       const size_t off = (rows + cols) % 4;
       const std::vector<double> mb = SharpBuf(rng, rows * cols, off);
       const std::vector<double> yb = SharpBuf(rng, cols, (off + 3) % 4);
-      std::vector<double> x = SharpBuf(rng, rows, 0);
       const double* m = mb.data() + off;
       const double* y = yb.data() + (off + 3) % 4;
-      // BilinearForm skips rows whose x_i is zero; keep a plain one too.
-      x[rows / 2] = 0.0;
 
       std::vector<double> want(rows);
-      double bilinear = 0.0;
       for (size_t r = 0; r < rows; ++r) {
         want[r] = ReferenceDot(m + r * cols, y, cols);
-        if (x[r] != 0.0) bilinear = std::fma(x[r], want[r], bilinear);
       }
       for (const KernelOps* ops : RunnableTables()) {
         std::vector<double> got(rows);
         ops->matvec(m, rows, cols, y, got.data());
         EXPECT_TRUE(BitEq(got, want))
             << ops->name << " matvec " << rows << "x" << cols;
-        EXPECT_TRUE(BitEq(ops->bilinear(x.data(), m, y, rows, cols), bilinear))
-            << ops->name << " bilinear " << rows << "x" << cols;
       }
     }
   }

@@ -155,21 +155,6 @@ TEST(VectorTest, CosineSimilarity) {
   EXPECT_NEAR(CosineSimilarity({1, 1}, {-1, -1}), -1.0, 1e-12);
 }
 
-TEST(VectorTest, BilinearFormMatchesExplicit) {
-  Rng rng(9);
-  Matrix m = Matrix::RandomGaussian(4, 4, 1.0, rng);
-  Vector x = RandomVector(4, 1.0, rng);
-  Vector y = RandomVector(4, 1.0, rng);
-  double expected = Dot(x, m.MultiplyVec(y));
-  EXPECT_NEAR(BilinearForm(x, m, y), expected, 1e-12);
-}
-
-TEST(VectorTest, BilinearFormIdentityIsDot) {
-  Vector x = {1, 2, 3};
-  Vector y = {4, 5, 6};
-  EXPECT_DOUBLE_EQ(BilinearForm(x, Matrix::Identity(3), y), Dot(x, y));
-}
-
 /// Property sweep: (A B)^T v == B^T (A^T v) on random shapes.
 class MatrixPropertyTest : public ::testing::TestWithParam<int> {};
 

@@ -18,6 +18,7 @@
 #include "src/fwd/codec.h"
 #include "src/fwd/forward.h"
 #include "src/fwd/trainer.h"
+#include "src/obs/metrics.h"
 #include "src/serve/http.h"
 #include "src/serve/service.h"
 #include "src/store/embedding_store.h"
@@ -51,6 +52,13 @@ std::string FreshDir(const std::string& name) {
 void ExpectRawBody(const std::string& body, const la::Vector& expected) {
   ASSERT_EQ(body.size(), expected.size() * sizeof(double));
   EXPECT_EQ(std::memcmp(body.data(), expected.data(), body.size()), 0);
+}
+
+/// A serve counter's process-wide total, as GET /metrics renders it. The
+/// tests read it before and after their requests.
+uint64_t ServeTotal(const std::string& name) {
+  const obs::Counter* c = obs::Registry::Global().FindCounter(name);
+  return c == nullptr ? 0 : c->Value();
 }
 
 serve::HttpClient ConnectOrDie(int port) {
@@ -157,6 +165,9 @@ TEST(EmbeddingServiceTest, EndpointsServeBitIdenticalVectors) {
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
   serve::HttpClient client = ConnectOrDie(service.value()->port());
+  const uint64_t embeds = ServeTotal("stedb_serve_embeds_total");
+  const uint64_t batches = ServeTotal("stedb_serve_embed_batches_total");
+  const uint64_t topks = ServeTotal("stedb_serve_topk_queries_total");
 
   // Every trained vector over the wire, bit-identical via raw mode.
   for (const auto& [f, v] : s.embedder->model().all_phi()) {
@@ -207,12 +218,15 @@ TEST(EmbeddingServiceTest, EndpointsServeBitIdenticalVectors) {
             400);
   EXPECT_EQ(client.Get("/unknown").value().status, 404);
   EXPECT_EQ(client.Get("/healthz").value().status, 200);
-  EXPECT_EQ(client.Get("/stats").value().status, 200);
+  auto stats = client.Get("/stats");
+  ASSERT_EQ(stats.value().status, 200);
+  // Shape only: the counters live in /metrics.
+  EXPECT_NE(stats.value().body.find("\"dim\":6"), std::string::npos);
+  EXPECT_EQ(stats.value().body.find("embeds"), std::string::npos);
 
-  const serve::EmbeddingService::Stats stats = service.value()->stats();
-  EXPECT_GT(stats.embeds, 0u);
-  EXPECT_EQ(stats.embed_batches, 1u);
-  EXPECT_EQ(stats.topk_queries, 1u);
+  EXPECT_GT(ServeTotal("stedb_serve_embeds_total"), embeds);
+  EXPECT_EQ(ServeTotal("stedb_serve_embed_batches_total"), batches + 1);
+  EXPECT_EQ(ServeTotal("stedb_serve_topk_queries_total"), topks + 1);
   service.value()->Stop();
 }
 
@@ -225,6 +239,8 @@ TEST(EmbeddingServiceTest, CoalescesConcurrentSingleFactLookups) {
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
   const int port = service.value()->port();
+  const uint64_t embeds = ServeTotal("stedb_serve_embeds_total");
+  const uint64_t rounds = ServeTotal("stedb_serve_coalesce_rounds_total");
 
   std::vector<std::pair<db::FactId, la::Vector>> facts(
       s.embedder->model().all_phi().begin(),
@@ -257,14 +273,18 @@ TEST(EmbeddingServiceTest, CoalescesConcurrentSingleFactLookups) {
   for (std::thread& th : clients) th.join();
   ASSERT_EQ(failures.load(), 0);
 
-  const serve::EmbeddingService::Stats stats = service.value()->stats();
-  EXPECT_EQ(stats.embeds,
-            static_cast<uint64_t>(kThreads * kLookupsPerThread));
+  const uint64_t served = ServeTotal("stedb_serve_embeds_total") - embeds;
+  EXPECT_EQ(served, static_cast<uint64_t>(kThreads * kLookupsPerThread));
   // Every lookup went through the coalescer; rounds can never exceed
   // lookups, and each round served at least one.
-  EXPECT_GT(stats.coalesce_rounds, 0u);
-  EXPECT_LE(stats.coalesce_rounds, stats.embeds);
-  EXPECT_GE(stats.max_coalesced, 1u);
+  const uint64_t coalesced =
+      ServeTotal("stedb_serve_coalesce_rounds_total") - rounds;
+  EXPECT_GT(coalesced, 0u);
+  EXPECT_LE(coalesced, served);
+  const obs::Gauge* max_coalesced = obs::Registry::Global().FindGauge(
+      "stedb_serve_max_coalesced_records");
+  ASSERT_NE(max_coalesced, nullptr);
+  EXPECT_GE(max_coalesced->Value(), 1.0);
   service.value()->Stop();
 }
 
@@ -281,6 +301,8 @@ TEST(EmbeddingServiceTest, PollTickerServesLiveExtensionsBitIdentically) {
   serve::ServeOptions options;
   options.http_threads = 2;
   options.poll_interval_ms = 5;
+  const uint64_t polls = ServeTotal("stedb_serve_polls_total");
+  const uint64_t applied = ServeTotal("stedb_serve_wal_records_applied_total");
   auto service = serve::EmbeddingService::Open(s.dir, options);
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
@@ -307,9 +329,8 @@ TEST(EmbeddingServiceTest, PollTickerServesLiveExtensionsBitIdentically) {
   ASSERT_EQ(last.status, 200) << "extension never became visible";
   ExpectRawBody(last.body, s.embedder->model().phi(c4));
 
-  const serve::EmbeddingService::Stats stats = service.value()->stats();
-  EXPECT_GT(stats.polls, 0u);
-  EXPECT_GE(stats.wal_records_applied, 1u);
+  EXPECT_GT(ServeTotal("stedb_serve_polls_total"), polls);
+  EXPECT_GE(ServeTotal("stedb_serve_wal_records_applied_total"), applied + 1);
   service.value()->Stop();
 }
 

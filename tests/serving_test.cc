@@ -34,6 +34,7 @@ namespace {
 
 using stedb::testing::InsertC4;
 using stedb::testing::MovieDatabase;
+using stedb::testing::ReferenceBilinearForm;
 
 fwd::ForwardConfig SmallConfig() {
   fwd::ForwardConfig cfg;
@@ -178,8 +179,8 @@ TEST(MmapSnapshotTest, Node2VecSnapshotHasNoPsiAndStillServes) {
   auto model = std::make_unique<store::VectorSetModel>(dim, -1);
   for (int i = 0; i < 5; ++i) model->set_phi(10 + i, TestVector(dim, i));
   const std::string dir = FreshDir("mmap_snapshot_n2v");
-  auto created =
-      store::EmbeddingStore::Create(dir, "node2vec", std::move(model));
+  auto created = store::EmbeddingStore::Create(dir, n2v::kNode2VecMethodTag,
+                                               std::move(model));
   ASSERT_TRUE(created.ok()) << created.status();
 
   auto snap = store::MmapSnapshot::Open(
@@ -431,7 +432,7 @@ TEST(ServingSessionTest, Node2VecTrainSnapshotExtendPollRoundTrip) {
 
   const std::string dir = FreshDir("serving_n2v");
   auto created = store::EmbeddingStore::Create(
-      dir, "node2vec", n2v::SnapshotVectors(embedding));
+      dir, n2v::kNode2VecMethodTag, n2v::SnapshotVectors(embedding));
   ASSERT_TRUE(created.ok()) << created.status();
   store::EmbeddingStore store = std::move(created).value();
   embedding.set_extension_sink(store.MakeSink());
@@ -744,8 +745,9 @@ TEST(ServingScoreTest, TopKIsBitIdenticalAcrossSimdPaths) {
 }
 
 TEST(ServingScoreTest, TopKStaysWithinRoundingOfTheBilinearForm) {
-  // TopK sums φ(q)ᵀψφ(g) as Σⱼ (Σᵢ φ(q)ᵢψᵢⱼ) φ(g)ⱼ, where la::BilinearForm
-  // sums Σᵢ φ(q)ᵢ (Σⱼ ψᵢⱼφ(g)ⱼ): the same value, associated differently.
+  // TopK sums φ(q)ᵀψφ(g) as Σⱼ (Σᵢ φ(q)ᵢψᵢⱼ) φ(g)ⱼ, where
+  // ReferenceBilinearForm sums Σᵢ φ(q)ᵢ (Σⱼ ψᵢⱼφ(g)ⱼ): the same value,
+  // associated differently.
   // Every term passes through at most 2d roundings either way, so each
   // result lies within γ(2d)·S ≈ 2d·u·S of the exact value, with
   // S = Σᵢⱼ|φ(q)ᵢψᵢⱼφ(g)ⱼ| and u = DBL_EPSILON / 2 the unit roundoff.
@@ -796,7 +798,6 @@ TEST(ServingScoreTest, TopKStaysWithinRoundingOfTheBilinearForm) {
     size_t moved = 0;
     for (size_t t = 0; t < session.num_psi(); ++t) {
       const la::Matrix& psi = c.model.psi(t);
-      const Span<const double> psi_span(psi.data().data(), psi.size());
       for (db::FactId q : queries) {
         SCOPED_TRACE("query " + std::to_string(q) + " target " +
                      std::to_string(t));
@@ -813,7 +814,8 @@ TEST(ServingScoreTest, TopKStaysWithinRoundingOfTheBilinearForm) {
         double tau_max = 0.0;
         for (size_t g = 0; g < n; ++g) {
           const Span<const double> y = session.Embed(served[g]).value();
-          old_score[g] = la::BilinearForm(x, psi_span, y);
+          old_score[g] = ReferenceBilinearForm(x.data(), psi.data().data(),
+                                               y.data(), dim, dim);
           double abs_sum = 0.0;
           for (size_t j = 0; j < dim; ++j) abs_sum += w[j] * std::fabs(y[j]);
           tau[g] = 4.0 * static_cast<double>(dim) * DBL_EPSILON * abs_sum;
@@ -867,7 +869,8 @@ TEST(ServingScoreTest, MethodsWithoutPsiFailPrecondition) {
   for (int i = 0; i < 4; ++i) vectors->set_phi(10 + i, TestVector(dim, i));
   const std::string dir = FreshDir("serving_score_n2v");
   ASSERT_TRUE(
-      store::EmbeddingStore::Create(dir, "node2vec", std::move(vectors))
+      store::EmbeddingStore::Create(dir, n2v::kNode2VecMethodTag,
+                                    std::move(vectors))
           .ok());
   auto opened = api::ServingSession::Open(dir);
   ASSERT_TRUE(opened.ok());

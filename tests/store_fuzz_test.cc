@@ -14,6 +14,7 @@
 #include "src/common/rng.h"
 #include "src/fwd/codec.h"
 #include "src/fwd/trainer.h"
+#include "src/n2v/codec.h"
 #include "src/store/embedding_store.h"
 #include "src/store/format.h"
 #include "src/store/model_codec.h"
@@ -187,7 +188,8 @@ TEST_P(StoreFuzzTest, AnnSectionSurvivesTruncationAndFlips) {
   StoreOptions options;
   options.build_ann_index = true;
   auto created =
-      EmbeddingStore::Create(dir, "node2vec", std::move(model), options);
+      EmbeddingStore::Create(dir, n2v::kNode2VecMethodTag, std::move(model),
+                             options);
   ASSERT_TRUE(created.ok()) << created.status();
   std::string good;
   ASSERT_TRUE(

@@ -12,6 +12,7 @@
 
 #include "src/fwd/codec.h"
 #include "src/fwd/forward.h"
+#include "src/n2v/codec.h"
 #include "src/n2v/node2vec.h"
 #include "src/store/embedding_store.h"
 #include "src/store/model_codec.h"
@@ -676,18 +677,20 @@ TEST(SinkTest, Node2VecExtensionsHitTheSink) {
   EXPECT_EQ(embedding.Embed(c4).value().size(), 8u);
 }
 
-// ---- Codec registry + method-agnostic store ----------------------------
+// ---- Codecs + method-agnostic store -------------------------------------
 
-TEST(ModelCodecTest, BuiltinsAreRegistered) {
-  const std::vector<std::string> codecs = RegisteredModelCodecs();
-  ASSERT_EQ(codecs.size(), 2u);
-  EXPECT_EQ(codecs[0], "forward");
-  EXPECT_EQ(codecs[1], "node2vec");
-  // Case-insensitive, mirroring the api method registry.
-  EXPECT_TRUE(CodecByMethod("FoRWaRD").ok());
-  EXPECT_TRUE(CodecByMethod("NODE2VEC").ok());
-  EXPECT_EQ(CodecByMethod("no_such_method").status().code(),
-            StatusCode::kNotFound);
+TEST(ModelCodecTest, CodecByTagKnowsBothMethods) {
+  auto forward = CodecByTag(fwd::kForwardMethodTag);
+  ASSERT_TRUE(forward.ok()) << forward.status();
+  EXPECT_EQ(forward.value()->method(), "forward");
+  auto node2vec = CodecByTag(n2v::kNode2VecMethodTag);
+  ASSERT_TRUE(node2vec.ok()) << node2vec.status();
+  EXPECT_EQ(node2vec.value()->method(), "node2vec");
+  auto unknown = CodecByTag(FourCc('X', 'Y', 'Z', '?'));
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(unknown.status().message().find("forward, node2vec"),
+            std::string::npos)
+      << unknown.status();
 }
 
 TEST(ModelCodecTest, SnapshotHeaderCarriesMethodTag) {
@@ -755,7 +758,7 @@ TEST(ModelCodecTest, Node2VecStoreRoundTripsThroughOpen) {
 
   const std::string dir = FreshDir("store_n2v_roundtrip");
   auto created =
-      EmbeddingStore::Create(dir, "node2vec", std::move(model));
+      EmbeddingStore::Create(dir, n2v::kNode2VecMethodTag, std::move(model));
   ASSERT_TRUE(created.ok()) << created.status();
   EXPECT_EQ(created.value().method(), "node2vec");
   EmbeddingStore st = std::move(created).value();

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 namespace stedb::testing {
 
@@ -118,6 +119,17 @@ void ReferenceAdamStep(const la::AdamCoeffs& c, double* p, double* m,
     const double vhat = v[i] / c.bc2;
     p[i] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
   }
+}
+
+double ReferenceBilinearForm(const double* x, const double* m,
+                             const double* y, size_t rows, size_t cols) {
+  std::vector<double> dots(rows);
+  la::MatVec(m, rows, cols, y, dots.data());
+  double acc = 0.0;
+  for (size_t i = 0; i < rows; ++i) {
+    if (x[i] != 0.0) acc = std::fma(x[i], dots[i], acc);
+  }
+  return acc;
 }
 
 bool HasAvx2() {

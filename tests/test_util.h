@@ -29,6 +29,13 @@ db::FactId FindFact(const db::Database& database, const std::string& rel,
 void ReferenceAdamStep(const la::AdamCoeffs& c, double* p, double* m,
                        double* v, const double* g, size_t n);
 
+/// x^T M y for a rows x cols row-major m, summed as Σᵢ xᵢ (row i · y): the
+/// row dots by la::MatVec, then one std::fma per row with xᵢ ≠ 0, rows in
+/// order. Bit-identical on every SIMD path (kernels_test pins MatVec's
+/// order); the reference the projection scorers are checked against.
+double ReferenceBilinearForm(const double* x, const double* m,
+                             const double* y, size_t rows, size_t cols);
+
 /// True when this binary AND this machine can execute the AVX2 kernel path.
 bool HasAvx2();
 

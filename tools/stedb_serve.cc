@@ -142,13 +142,16 @@ int main(int argc, char** argv) {
   }
 
   service.value()->Stop();
-  const serve::EmbeddingService::Stats stats = service.value()->stats();
-  std::printf("stopped: %llu requests, %llu embeds (%llu coalesce rounds), "
-              "%llu topk, %llu polls\n",
-              static_cast<unsigned long long>(stats.http_requests),
-              static_cast<unsigned long long>(stats.embeds),
-              static_cast<unsigned long long>(stats.coalesce_rounds),
-              static_cast<unsigned long long>(stats.topk_queries),
-              static_cast<unsigned long long>(stats.polls));
+  // One service per process: the process totals are the service's.
+  const auto total = [](const char* name) {
+    const obs::Counter* c = obs::Registry::Global().FindCounter(name);
+    return static_cast<unsigned long long>(c == nullptr ? 0 : c->Value());
+  };
+  std::printf("stopped: %llu embeds (%llu coalesce rounds), %llu topk, "
+              "%llu polls\n",
+              total("stedb_serve_embeds_total"),
+              total("stedb_serve_coalesce_rounds_total"),
+              total("stedb_serve_topk_queries_total"),
+              total("stedb_serve_polls_total"));
   return 0;
 }
