@@ -159,11 +159,12 @@ Status ServingSession::ReadWalTail(std::string* out) const {
   return Status::OK();
 }
 
-Result<bool> ServingSession::JournalCurrent() const {
+Result<bool> ServingSession::JournalCurrent(uint64_t* fd_size) const {
   struct stat fd_st, path_st;
   if (::fstat(wal_fd_.get(), &fd_st) != 0) {
     return Status::IOError("serving: cannot stat journal fd for " + dir_);
   }
+  if (fd_size != nullptr) *fd_size = static_cast<uint64_t>(fd_st.st_size);
   if (::stat(store::EmbeddingStore::WalPath(dir_).c_str(), &path_st) != 0) {
     return Status::IOError("serving: cannot stat journal in " + dir_);
   }
@@ -247,6 +248,22 @@ Result<size_t> ServingSession::Poll() {
   metrics.lag_records.Set(static_cast<double>(applied));
   metrics.wal_records_applied.Inc(applied);
   return applied;
+}
+
+Result<bool> ServingSession::Pending() const {
+  uint64_t inode = 0, size = 0;
+  STEDB_RETURN_IF_ERROR(SnapshotIdentity(dir_, &inode, &size));
+  if (inode != snapshot_inode_ || size != snapshot_size_) return true;
+  uint64_t journal_size = 0;
+  STEDB_ASSIGN_OR_RETURN(bool journal_current, JournalCurrent(&journal_size));
+  if (journal_current && journal_size <= wal_offset_) {
+    // Caught up: the lag gauges read what a Poll with nothing to apply
+    // would have set, though no Poll runs.
+    Metrics().lag_bytes.Set(0.0);
+    Metrics().lag_records.Set(0.0);
+    return false;
+  }
+  return true;
 }
 
 size_t ServingSession::num_embedded() const {

@@ -159,6 +159,15 @@ class ServingSession {
   /// compaction. Returns the number of new records applied.
   Result<size_t> Poll();
 
+  /// Whether Poll() has anything to do: the snapshot's identity moved,
+  /// the journal path no longer names the tailed inode, or the journal
+  /// grew past the bytes consumed. The same checks Poll() starts with,
+  /// read-only, so a caller can ask under a shared lock and take an
+  /// exclusive one only when the answer is yes. A torn trailing record
+  /// stays pending until the writer completes it. A "no" zeroes the WAL
+  /// lag gauges, as a Poll that applied nothing would.
+  Result<bool> Pending() const;
+
   size_t dim() const { return snapshot_.dim(); }
   db::RelationId relation() const { return snapshot_.relation(); }
   /// Distinct facts served (snapshot residents + tailed journal records;
@@ -182,8 +191,9 @@ class ServingSession {
   /// after a writer reset the journal (compaction) — the tail source is
   /// stale and the session must reopen. Guards the crash-window race
   /// where Open() observed the new snapshot but the not-yet-reset old
-  /// journal: snapshot identity alone would never notice.
-  Result<bool> JournalCurrent() const;
+  /// journal: snapshot identity alone would never notice. `fd_size`,
+  /// when given, receives the tailed journal's size.
+  Result<bool> JournalCurrent(uint64_t* fd_size = nullptr) const;
   /// Installs one journal record into the overlay (insert or overwrite).
   void ApplyRecord(const store::WalRecord& rec);
   /// ψ(target) off the mapping; FailedPrecondition when the snapshot

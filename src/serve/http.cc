@@ -251,7 +251,6 @@ void HttpServer::ServeConnection(int fd) {
       }
       return;
     }
-    requests_.fetch_add(1, std::memory_order_relaxed);
     HttpResponse resp;
     auto it = handlers_.find(req.path);
     if (it == handlers_.end()) {

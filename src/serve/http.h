@@ -74,9 +74,6 @@ class HttpServer {
   /// The bound port (the resolved one when Start was given port 0).
   int port() const { return port_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
-  uint64_t requests_served() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
 
  private:
   void AcceptLoop();
@@ -92,7 +89,6 @@ class HttpServer {
   ScopedFd listen_fd_;
   int port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<uint64_t> requests_{0};
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

@@ -1,13 +1,22 @@
 #include "src/serve/service.h"
 
+#if defined(__linux__)
+#include <poll.h>
+#include <sys/inotify.h>
+#include <unistd.h>
+#endif
+
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <utility>
 
+#include "src/common/logging.h"
 #include "src/common/parallel.h"
 #include "src/fwd/trainer.h"
 #include "src/obs/metrics.h"
@@ -38,6 +47,9 @@ struct ServeMetrics {
       "/similar queries served (approximate and exact paths)");
   obs::Counter& polls = reg.GetCounter(
       "stedb_serve_polls_total", "ServingSession Poll() calls");
+  obs::Counter& poll_errors = reg.GetCounter(
+      "stedb_serve_poll_errors_total",
+      "Failed WAL catch-ups (the pending check or the Poll itself)");
   obs::Counter& wal_records_applied = reg.GetCounter(
       "stedb_serve_wal_records_applied_total",
       "WAL records applied to the served overlay");
@@ -107,6 +119,41 @@ HttpResponse ErrorResponse(const Status& st) {
   return {HttpStatusFor(st), "application/json", std::move(body)};
 }
 
+#if defined(__linux__)
+/// The name an inotify event gives for `path`: its last component.
+std::string FileName(const std::string& path) {
+  return std::filesystem::path(path).filename().string();
+}
+
+/// Reads every queued event off the non-blocking inotify `fd`. True when
+/// one names the journal or the snapshot (or the queue overflowed and
+/// dropped some); `*removed` turns true when the watch is gone.
+bool DrainWatch(int fd, bool* removed) {
+  static const std::string wal = FileName(store::EmbeddingStore::WalPath(""));
+  static const std::string snapshot =
+      FileName(store::EmbeddingStore::SnapshotPath(""));
+  char buf[4096];
+  bool changed = false;
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return changed;  // EAGAIN: drained
+    for (ssize_t off = 0; off < n;) {
+      // Each record is a header followed by `len` bytes of NUL-padded name.
+      struct inotify_event ev = {};
+      std::memcpy(&ev, buf + off, sizeof(ev));
+      const char* name = buf + off + sizeof(ev);
+      if ((ev.mask & IN_IGNORED) != 0) *removed = true;
+      if ((ev.mask & IN_Q_OVERFLOW) != 0 ||
+          (ev.len > 0 && (wal == name || snapshot == name))) {
+        changed = true;
+      }
+      off += static_cast<ssize_t>(sizeof(ev) + ev.len);
+    }
+  }
+}
+#endif
+
 }  // namespace
 
 std::vector<db::FactId> ParseFactList(const std::string& text,
@@ -144,6 +191,7 @@ EmbeddingService::EmbeddingService(api::ServingSession session,
                                    ServeOptions options)
     : options_(std::move(options)),
       dim_(session.dim()),
+      dir_(session.dir()),
       session_(std::move(session)) {
   // Read-only serving binaries never reference the store/trainer write
   // paths, so their eager metric registrations would be dropped by the
@@ -153,9 +201,20 @@ EmbeddingService::EmbeddingService(api::ServingSession session,
   fwd::TouchTrainMetrics();
   RegisterHandlers();
   coalescer_ = std::thread([this] { CoalescerLoop(); });
-  if (options_.poll_interval_ms > 0) {
-    ticker_ = std::thread([this] { TickerLoop(); });
+  if (options_.poll_interval_ms <= 0) return;
+#if defined(__linux__)
+  // One watch on the directory, not on the two files: an append modifies
+  // the journal, but Compact replaces both files by rename, which a watch
+  // on the old inodes would never see. Where the watch cannot be set up
+  // the ticker runs on ticks alone.
+  watch_fd_.Reset(::inotify_init1(IN_NONBLOCK | IN_CLOEXEC));
+  if (watch_fd_.valid()) {
+    watch_wd_ = ::inotify_add_watch(watch_fd_.get(), dir_.c_str(),
+                                    IN_MODIFY | IN_MOVED_TO | IN_ONLYDIR);
+    watching_.store(watch_wd_ >= 0, std::memory_order_release);
   }
+#endif
+  ticker_ = std::thread([this] { TickerLoop(); });
 }
 
 Status EmbeddingService::Start(const std::string& host, int port) {
@@ -177,37 +236,88 @@ void EmbeddingService::Stop() {
     MutexLock lk(ticker_mu_);
     ticker_cv_.notify_all();
   }
+#if defined(__linux__)
+  // Removing the watch queues IN_IGNORED, which ends a wait on it.
+  if (watch_wd_ >= 0) ::inotify_rm_watch(watch_fd_.get(), watch_wd_);
+#endif
   if (ticker_.joinable()) ticker_.join();
 }
 
 Result<size_t> EmbeddingService::PollNow() {
-  size_t applied = 0;
-  {
+  STEDB_ASSIGN_OR_RETURN(size_t applied, CatchUp());
+  if (options_.tick_hook) options_.tick_hook();
+  return applied;
+}
+
+Result<size_t> EmbeddingService::CatchUp() {
+  Result<size_t> polled = [this]() -> Result<size_t> {
+    {
+      // Most checks find nothing new: asking under the shared lock keeps
+      // them from stalling every reader behind an exclusive one.
+      SharedMutexLock lk(session_mu_);
+      STEDB_ASSIGN_OR_RETURN(bool pending, session_.Pending());
+      if (!pending) return size_t{0};
+    }
     WriterMutexLock lk(session_mu_);
-    auto polled = session_.Poll();
-    if (!polled.ok()) return polled.status();
-    applied = polled.value();
+    STEDB_ASSIGN_OR_RETURN(size_t applied, session_.Poll());
     Metrics().polls.Inc();
     Metrics().wal_records_applied.Inc(applied);
     if (session_.reopened()) Metrics().reopens.Inc();
+    return applied;
+  }();
+  if (!polled.ok()) {
+    // The vectors already served stay served; the next tick or event
+    // retries. One line per streak, not one per tick.
+    Metrics().poll_errors.Inc();
+    if (!poll_failing_.exchange(true)) {
+      STEDB_LOG(kWarn) << "serve: Poll of " << dir_
+                       << " failed, serving what it has: "
+                       << polled.status().ToString()
+                       << " (stedb_serve_poll_errors_total counts repeats)";
+    }
+  } else if (poll_failing_.exchange(false)) {
+    STEDB_LOG(kInfo) << "serve: Poll of " << dir_ << " succeeds again";
   }
-  if (options_.tick_hook) options_.tick_hook();
-  return applied;
+  return polled;
 }
 
 void EmbeddingService::TickerLoop() {
   const auto interval =
       std::chrono::milliseconds(options_.poll_interval_ms);
-  UniqueMutexLock lk(ticker_mu_);
+  // The watch was armed after the session opened: catch up whatever
+  // changed in between, which raised no event.
+  bool changed = tailing_by_events();
+  auto next_tick = Clock::now() + interval;
   while (!stopping_.load(std::memory_order_acquire)) {
-    // No predicate: a spurious wake just polls one tick early, and the
-    // stop flag is re-checked before (and after) every wait.
-    ticker_cv_.wait_for(lk.native(), interval);
-    if (stopping_.load(std::memory_order_acquire)) return;
-    lk.Unlock();
-    PollNow();  // a transient Poll error just retries next tick
-    lk.Lock();
+    if (Clock::now() >= next_tick) {
+      next_tick = Clock::now() + interval;
+      PollNow();  // errors are counted and logged in CatchUp
+    } else if (changed) {
+      CatchUp();
+    }
+    changed = WaitForChange(next_tick);
   }
+}
+
+bool EmbeddingService::WaitForChange(Clock::time_point deadline) {
+#if defined(__linux__)
+  if (tailing_by_events()) {
+    using Ms = std::chrono::milliseconds;
+    const auto left = std::chrono::ceil<Ms>(deadline - Clock::now());
+    const int timeout_ms = static_cast<int>(std::max<int64_t>(0, left.count()));
+    struct pollfd pfd = {watch_fd_.get(), POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) <= 0) return false;  // tick due, or EINTR
+    bool removed = false;
+    const bool changed = DrainWatch(watch_fd_.get(), &removed);
+    if (removed) watching_.store(false, std::memory_order_release);
+    return changed;
+  }
+#endif
+  UniqueMutexLock lk(ticker_mu_);
+  ticker_cv_.wait_until(lk.native(), deadline, [this] {
+    return stopping_.load(std::memory_order_acquire);
+  });
+  return false;
 }
 
 // ---- Request coalescing ------------------------------------------------

@@ -2,6 +2,7 @@
 #define STEDB_SERVE_SERVICE_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "src/api/serving.h"
+#include "src/common/scoped_fd.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
 #include "src/serve/http.h"
@@ -23,9 +25,11 @@ struct ServeOptions {
   /// HTTP worker threads (0 = ResolveThreadCount: STEDB_THREADS, else
   /// hardware concurrency).
   int http_threads = 0;
-  /// WAL catch-up cadence: the ticker thread Polls the shared session
-  /// every this many milliseconds (0 disables the ticker — Poll only via
-  /// PollNow(), for tests and single-shot drills).
+  /// WAL catch-up: the ticker thread Polls the shared session when the
+  /// store directory's journal or snapshot changes (an inotify watch, on
+  /// Linux) and, as the fallback for missed or unsupported events, every
+  /// this many milliseconds. 0 disables the ticker and the watch — Poll
+  /// only via PollNow(), for tests and single-shot drills.
   int poll_interval_ms = 20;
   /// Ceiling on /topk's and /similar's k and /facts' limit.
   size_t max_topk = 1024;
@@ -35,12 +39,13 @@ struct ServeOptions {
   size_t ef_search = 0;
   /// Ceiling on facts per /embed_batch request.
   size_t max_batch_facts = 65536;
-  /// Runs on every ticker tick, after the Poll, outside the session lock.
-  /// The flusher pattern for a co-located writer: a trainer embedding in
-  /// the same process installs `[&store] { store mutex; store.SyncIfDue(); }`
-  /// so an idle writer's group-commit tail becomes durable within the
-  /// window even when no Append arrives to evaluate it (see
-  /// store::EmbeddingStore::SyncIfDue).
+  /// Runs on every ticker tick (every poll_interval_ms, not after the
+  /// Polls a directory event triggers), after the Poll, outside the
+  /// session lock. The flusher pattern for a co-located writer: a trainer
+  /// embedding in the same process installs
+  /// `[&store] { store mutex; store.SyncIfDue(); }` so an idle writer's
+  /// group-commit tail becomes durable within the window even when no
+  /// Append arrives to evaluate it (see store::EmbeddingStore::SyncIfDue).
   std::function<void()> tick_hook;
 };
 
@@ -61,8 +66,11 @@ struct ServeOptions {
 ///   GET /healthz                      liveness probe
 ///
 /// Concurrency model: HTTP workers take the session lock shared; the
-/// Poll ticker takes it exclusive (Poll may remap the snapshot and grow
-/// the overlay, invalidating served views). Concurrent single-fact
+/// Poll ticker asks the session under the shared lock whether anything
+/// is pending and takes it exclusive only then (Poll may remap the
+/// snapshot and grow the overlay, invalidating served views). The ticker
+/// wakes on a change to the store directory's journal or snapshot, or on
+/// the next tick, whichever comes first. Concurrent single-fact
 /// /embed lookups do NOT each hit the session: they are queued and a
 /// dedicated coalescer thread drains the queue into one
 /// ServingSession::EmbedBatch call per round — the group-commit pattern
@@ -87,17 +95,34 @@ class EmbeddingService {
 
   int port() const { return http_.port(); }
 
-  /// One synchronous tick: Poll the session now (exclusive lock), then
-  /// run the tick hook. Returns the number of WAL records applied.
+  /// One synchronous tick: Poll the session now if it has anything
+  /// pending (exclusive lock only then), then run the tick hook. Returns
+  /// the number of WAL records applied.
   Result<size_t> PollNow() STEDB_EXCLUDES(session_mu_);
 
   size_t dim() const { return dim_; }
 
+  /// Whether the ticker is woken by a live watch on the store directory.
+  /// False with poll_interval_ms = 0 (no ticker at all), without inotify
+  /// (the ticker runs on ticks alone), and once the watch is removed — by
+  /// Stop() or with the directory.
+  bool tailing_by_events() const {
+    return watching_.load(std::memory_order_acquire);
+  }
+
  private:
+  using Clock = std::chrono::steady_clock;
+
   EmbeddingService(api::ServingSession session, ServeOptions options);
 
   void RegisterHandlers();
   void TickerLoop();
+  /// Blocks until `deadline`, Stop(), or a watch event; true when an
+  /// event named the journal or the snapshot.
+  bool WaitForChange(Clock::time_point deadline) STEDB_EXCLUDES(ticker_mu_);
+  /// PollNow without the tick hook; counts errors and logs one WARN line
+  /// per error streak.
+  Result<size_t> CatchUp() STEDB_EXCLUDES(session_mu_);
   void CoalescerLoop();
 
   /// One queued single-fact lookup awaiting the coalescer.
@@ -124,6 +149,7 @@ class EmbeddingService {
 
   ServeOptions options_;
   size_t dim_ = 0;
+  std::string dir_;  ///< the store directory the session serves
 
   /// Shared session: HTTP readers shared, Poll exclusive. Lock ordering:
   /// session_mu_, embed_mu_ and ticker_mu_ are never held together —
@@ -143,9 +169,18 @@ class EmbeddingService {
   std::thread coalescer_;
 
   // Ticker state. ticker_mu_ guards no data; it exists for the cv's
-  // timed waits, which is why nothing carries STEDB_GUARDED_BY on it.
+  // timed waits when no watch is live, which is why nothing carries
+  // STEDB_GUARDED_BY on it.
   Mutex ticker_mu_;
   std::condition_variable ticker_cv_;
+  /// The inotify instance and its one watch on the store directory
+  /// (invalid / -1 when none). Stop() removes the watch, which queues
+  /// IN_IGNORED and so ends the ticker's wait.
+  ScopedFd watch_fd_;
+  int watch_wd_ = -1;
+  std::atomic<bool> watching_{false};
+  /// Whether the last Poll failed: the WARN line marks a streak's start.
+  std::atomic<bool> poll_failing_{false};
   std::thread ticker_;
 };
 

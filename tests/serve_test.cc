@@ -1,8 +1,11 @@
-// The serve layer: the minimal HTTP stack, the EmbeddingService over a
+// The serve layer: the minimal HTTP stack and its parsers (with a seeded
+// fuzz of the two that read socket bytes), the EmbeddingService over a
 // shared ServingSession, request coalescing under concurrent clients, the
 // live-extension drill (trainer extends → ticker Polls → client sees the
-// new fact bit-identically over the wire), and the tick-hook flusher that
-// bounds an idle co-located writer's durability window.
+// new fact bit-identically over the wire), event-driven tailing (an
+// append or a compaction is served without waiting for a tick), Poll
+// errors, and the tick-hook flusher that bounds an idle co-located
+// writer's durability window.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "src/api/serving.h"
+#include "src/common/rng.h"
 #include "src/fwd/codec.h"
 #include "src/fwd/forward.h"
 #include "src/fwd/trainer.h"
@@ -67,6 +71,23 @@ serve::HttpClient ConnectOrDie(int port) {
   return std::move(client).value();
 }
 
+/// Reads `/embed?fact=F&raw=1` until it answers 200 or `within` passes;
+/// returns the last response.
+serve::HttpResponse AwaitServed(serve::HttpClient& client, db::FactId fact,
+                                std::chrono::milliseconds within) {
+  const auto deadline = std::chrono::steady_clock::now() + within;
+  serve::HttpResponse last;
+  do {
+    auto resp = client.Get("/embed?fact=" + std::to_string(fact) + "&raw=1");
+    EXPECT_TRUE(resp.ok()) << resp.status();
+    if (!resp.ok()) return last;
+    last = std::move(resp).value();
+    if (last.status == 200) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  } while (std::chrono::steady_clock::now() < deadline);
+  return last;
+}
+
 // ---- URL decoding and fact-list parsing --------------------------------
 
 TEST(UrlDecodeTest, DecodesPercentAndPlus) {
@@ -95,11 +116,91 @@ TEST(ParseFactListTest, AcceptsCommonShapes) {
   EXPECT_EQ(ParseFactList("1,2,3,4,5,6,7,8", 3).size(), 4u);
 }
 
+/// Fuzz of the two parsers that read socket bytes: seeded random inputs
+/// from an alphabet weighted toward the bytes they branch on, every
+/// truncation, a trailing '%' or '-', and 30-digit numbers. Any read past
+/// the input shows under the ASan build, which runs this suite.
+class ParserFuzzTest : public ::testing::TestWithParam<int> {};
+
+std::string RandomRequestBytes(Rng& rng, size_t max_len) {
+  static const std::string kAlphabet = "%%%+--,, []{}0123456789aAfFzZ:\"";
+  std::string out(rng.NextIndex(max_len + 1), '\0');
+  for (char& c : out) {
+    if (rng.NextBool(0.8)) {
+      c = kAlphabet[rng.NextIndex(kAlphabet.size())];
+    } else {
+      c = static_cast<char>(rng.NextUint(256));
+    }
+  }
+  return out;
+}
+
+void ExpectParsersBounded(const std::string& in) {
+  SCOPED_TRACE("input of " + std::to_string(in.size()) + " bytes");
+  EXPECT_LE(serve::UrlDecode(in).size(), in.size());
+  for (size_t max_facts : {0u, 1u, 3u, 64u}) {
+    EXPECT_LE(serve::ParseFactList(in, max_facts).size(), max_facts + 1);
+  }
+}
+
+TEST_P(ParserFuzzTest, OutputStaysBoundedOnHostileBytes) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919);
+  const std::string thirty_digits = "123456789012345678901234567890";
+  for (int iter = 0; iter < 200; ++iter) {
+    const std::string in = RandomRequestBytes(rng, 48);
+    for (size_t len = 0; len <= in.size(); ++len) {
+      ExpectParsersBounded(in.substr(0, len));
+    }
+    ExpectParsersBounded(in + "%");
+    ExpectParsersBounded(in + "%4");
+    ExpectParsersBounded(in + "-");
+    ExpectParsersBounded(in + thirty_digits);
+    ExpectParsersBounded(in + "-" + thirty_digits);
+  }
+  // A 30-digit number is one id, whatever value it saturates to.
+  EXPECT_EQ(serve::ParseFactList(thirty_digits, 8).size(), 1u);
+  const std::string two = thirty_digits + "," + thirty_digits;
+  EXPECT_EQ(serve::ParseFactList(two, 8).size(), 2u);
+}
+
+TEST_P(ParserFuzzTest, WellFormedInputsRoundTrip) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729);
+  for (int iter = 0; iter < 200; ++iter) {
+    // Every byte value survives percent-encoding, in either hex case.
+    std::string bytes(rng.NextIndex(32), '\0');
+    std::string encoded;
+    for (char& c : bytes) {
+      c = static_cast<char>(rng.NextUint(256));
+      const char* format = rng.NextBool(0.5) ? "%%%02X" : "%%%02x";
+      char hex[4];
+      std::snprintf(hex, sizeof(hex), format, static_cast<unsigned char>(c));
+      encoded += hex;
+    }
+    EXPECT_EQ(serve::UrlDecode(encoded), bytes);
+
+    // Ids in FactId's range come back in order, whatever separates them
+    // (the text is already URL-decoded when it gets here).
+    static const char* const kSeparators[] = {",", ", ", " ", "],[", "\n"};
+    std::vector<db::FactId> ids(rng.NextIndex(16));
+    std::string list = rng.NextBool(0.5) ? "[" : "";
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = static_cast<db::FactId>(rng.NextUint(uint64_t{1} << 32));
+      if (i > 0) list += kSeparators[rng.NextIndex(5)];
+      list += std::to_string(ids[i]);
+    }
+    EXPECT_EQ(serve::ParseFactList(list, ids.size()), ids) << list;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzzTest, ::testing::Range(1, 7));
+
 // ---- HttpServer / HttpClient -------------------------------------------
 
 TEST(HttpServerTest, ServesRegisteredPathsOverKeepAlive) {
   serve::HttpServer server;
-  server.Handle("/echo", [](const serve::HttpRequest& req) {
+  std::atomic<int> echoed{0};
+  server.Handle("/echo", [&echoed](const serve::HttpRequest& req) {
+    echoed.fetch_add(1);
     serve::HttpResponse resp;
     resp.content_type = "text/plain";
     resp.body = req.method + " " + req.Param("q", "-") + " " + req.body;
@@ -121,7 +222,7 @@ TEST(HttpServerTest, ServesRegisteredPathsOverKeepAlive) {
   auto missing = client.Get("/nope");
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(missing.value().status, 404);
-  EXPECT_EQ(server.requests_served(), 3u);
+  EXPECT_EQ(echoed.load(), 2);
   server.Stop();
   EXPECT_FALSE(server.running());
   server.Stop();  // idempotent
@@ -315,23 +416,152 @@ TEST(EmbeddingServiceTest, PollTickerServesLiveExtensionsBitIdentically) {
   ASSERT_TRUE(store.Sync().ok());
 
   // Within a few ticks the fact appears; bound the wait generously.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  serve::HttpResponse last;
-  while (std::chrono::steady_clock::now() < deadline) {
-    auto resp =
-        client.Get("/embed?fact=" + std::to_string(c4) + "&raw=1");
-    ASSERT_TRUE(resp.ok()) << resp.status();
-    last = std::move(resp).value();
-    if (last.status == 200) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  const serve::HttpResponse last =
+      AwaitServed(client, c4, std::chrono::seconds(10));
   ASSERT_EQ(last.status, 200) << "extension never became visible";
   ExpectRawBody(last.body, s.embedder->model().phi(c4));
 
   EXPECT_GT(ServeTotal("stedb_serve_polls_total"), polls);
   EXPECT_GE(ServeTotal("stedb_serve_wal_records_applied_total"), applied + 1);
   service.value()->Stop();
+}
+
+/// A vector no trained fact has, so a served copy can only come from the
+/// journal record it was appended as.
+la::Vector AppendedVector(size_t dim, double base) {
+  la::Vector phi(dim);
+  for (size_t i = 0; i < dim; ++i) {
+    phi[i] = base + 0.125 * static_cast<double>(i);
+  }
+  return phi;
+}
+
+TEST(EmbeddingServiceTest, DirectoryEventsServeAppendsWithoutATick) {
+  // A tick a minute away: only the directory watch can make an append
+  // visible within the bound, before and after a compaction replaces both
+  // files by rename.
+#if !defined(__linux__)
+  GTEST_SKIP() << "no inotify: the ticker runs on ticks alone";
+#endif
+  ServedStore s = MakeServedStore("serve_events");
+  auto opened = store::EmbeddingStore::Open(s.dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  store::EmbeddingStore store = std::move(opened).value();
+  serve::ServeOptions options;
+  options.http_threads = 1;
+  options.poll_interval_ms = 60000;
+  auto service = serve::EmbeddingService::Open(s.dir, options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  ASSERT_TRUE(service.value()->tailing_by_events())
+      << "no inotify watch on " << s.dir;
+  ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
+  constexpr std::chrono::seconds kBound(2);
+  {
+    serve::HttpClient client = ConnectOrDie(service.value()->port());
+    const la::Vector first = AppendedVector(s.embedder->dim(), 0.5);
+    ASSERT_TRUE(store.Append(92000, first).ok());
+    serve::HttpResponse served = AwaitServed(client, 92000, kBound);
+    ASSERT_EQ(served.status, 200) << "append not served within 2 s";
+    ExpectRawBody(served.body, first);
+
+    ASSERT_TRUE(store.Compact().ok());  // snapshot rename + journal reset
+    const la::Vector second = AppendedVector(s.embedder->dim(), -3.0);
+    ASSERT_TRUE(store.Append(92001, second).ok());
+    served = AwaitServed(client, 92001, kBound);
+    ASSERT_EQ(served.status, 200) << "append after Compact not served";
+    ExpectRawBody(served.body, second);
+    served = AwaitServed(client, 92000, kBound);
+    ASSERT_EQ(served.status, 200);
+    ExpectRawBody(served.body, first);
+  }
+  // Stop wakes the ticker's wait instead of sitting out the minute.
+  const auto stop_start = std::chrono::steady_clock::now();
+  service.value()->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            std::chrono::seconds(1));
+  EXPECT_FALSE(service.value()->tailing_by_events());
+}
+
+TEST(EmbeddingServiceTest, NoTickerServesAnAppendOnlyAfterPollNow) {
+  ServedStore s = MakeServedStore("serve_no_ticker");
+  auto opened = store::EmbeddingStore::Open(s.dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  store::EmbeddingStore store = std::move(opened).value();
+  serve::ServeOptions options;
+  options.http_threads = 1;
+  options.poll_interval_ms = 0;  // no ticker and no watch
+  auto service = serve::EmbeddingService::Open(s.dir, options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  EXPECT_FALSE(service.value()->tailing_by_events());
+  ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
+  serve::HttpClient client = ConnectOrDie(service.value()->port());
+
+  const la::Vector phi = AppendedVector(s.embedder->dim(), 7.0);
+  ASSERT_TRUE(store.Append(92100, phi).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(client.Get("/embed?fact=92100").value().status, 404);
+  auto polled = service.value()->PollNow();
+  ASSERT_TRUE(polled.ok()) << polled.status();
+  EXPECT_EQ(polled.value(), 1u);
+  const serve::HttpResponse served =
+      AwaitServed(client, 92100, std::chrono::milliseconds(0));
+  ASSERT_EQ(served.status, 200);
+  ExpectRawBody(served.body, phi);
+  // Nothing pending: a second PollNow applies nothing.
+  EXPECT_EQ(service.value()->PollNow().value(), 0u);
+  service.value()->Stop();
+}
+
+TEST(EmbeddingServiceTest, PollErrorsAreCountedWhileServedVectorsStay) {
+  ServedStore s = MakeServedStore("serve_poll_errors");
+  serve::ServeOptions options;
+  options.http_threads = 1;
+  options.poll_interval_ms = 2;
+  auto service = serve::EmbeddingService::Open(s.dir, options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
+  serve::HttpClient client = ConnectOrDie(service.value()->port());
+
+  const std::string snap = store::EmbeddingStore::SnapshotPath(s.dir);
+  const std::string aside = snap + ".aside";
+  std::filesystem::copy_file(snap, aside);
+  const uint64_t errors = ServeTotal("stedb_serve_poll_errors_total");
+  // No ASSERT until the capture ends: a failed one would leave it on.
+  ::testing::internal::CaptureStderr();
+  EXPECT_TRUE(std::filesystem::remove(snap));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ServeTotal("stedb_serve_poll_errors_total") < errors + 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GE(ServeTotal("stedb_serve_poll_errors_total"), errors + 3);
+  EXPECT_FALSE(service.value()->PollNow().ok());
+
+  // The mapping outlives the path: every trained vector is still served.
+  for (const auto& [f, v] : s.embedder->model().all_phi()) {
+    const serve::HttpResponse served =
+        AwaitServed(client, f, std::chrono::milliseconds(0));
+    EXPECT_EQ(served.status, 200) << "fact " << f;
+    ExpectRawBody(served.body, v);
+  }
+
+  // The snapshot comes back (a new inode): Poll reopens and succeeds.
+  std::filesystem::rename(aside, snap);
+  EXPECT_TRUE(service.value()->PollNow().ok());
+  service.value()->Stop();  // joins the ticker: its log lines are written
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  const auto count = [&log](const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = log.find(needle); at != std::string::npos;
+         at = log.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  // One WARN line for the whole streak, one line when it ends.
+  EXPECT_EQ(count("Poll of " + s.dir + " failed"), 1u) << log;
+  EXPECT_EQ(count("Poll of " + s.dir + " succeeds again"), 1u) << log;
 }
 
 TEST(EmbeddingServiceTest, TickHookFlushesIdleCoLocatedWriter) {

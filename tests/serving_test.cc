@@ -23,6 +23,7 @@
 #include "src/ml/topk.h"
 #include "src/n2v/codec.h"
 #include "src/n2v/node2vec.h"
+#include "src/obs/metrics.h"
 #include "src/store/embedding_store.h"
 #include "src/store/format.h"
 #include "src/store/mmap_snapshot.h"
@@ -275,13 +276,22 @@ TEST(ServingSessionTest, MultipleExtensionBatchesAndCompact) {
   auto session_result = api::ServingSession::Open(dir);
   ASSERT_TRUE(session_result.ok());
   api::ServingSession session = std::move(session_result).value();
+  EXPECT_FALSE(session.Pending().value());
 
   // Batch 1.
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(store.Append(1000 + i, TestVector(dim, i)).ok());
   }
   ASSERT_TRUE(store.Sync().ok());
+  EXPECT_TRUE(session.Pending().value());
   EXPECT_EQ(session.Poll().value(), 5u);
+  const obs::Gauge* lag =
+      obs::Registry::Global().FindGauge("stedb_serving_wal_lag_records");
+  ASSERT_NE(lag, nullptr);
+  EXPECT_EQ(lag->Value(), 5.0);
+  // Caught up: the check alone zeroes the lag, as an empty Poll did.
+  EXPECT_FALSE(session.Pending().value());
+  EXPECT_EQ(lag->Value(), 0.0);
   // Batch 2.
   for (int i = 5; i < 8; ++i) {
     ASSERT_TRUE(store.Append(1000 + i, TestVector(dim, i)).ok());
@@ -296,10 +306,12 @@ TEST(ServingSessionTest, MultipleExtensionBatchesAndCompact) {
   // notices the new snapshot identity, reopens, and serves the exact same
   // vectors (nothing new arrived).
   ASSERT_TRUE(store.Compact().ok());
+  EXPECT_TRUE(session.Pending().value());  // the snapshot's identity moved
   auto polled = session.Poll();
   ASSERT_TRUE(polled.ok()) << polled.status();
   EXPECT_TRUE(session.reopened());
   EXPECT_EQ(polled.value(), 0u);
+  EXPECT_FALSE(session.Pending().value());
   EXPECT_EQ(session.wal_records(), 0u);  // everything snapshot-resident now
   for (int i = 0; i < 8; ++i) {
     ExpectSameBits(session.Embed(1000 + i).value(), TestVector(dim, i));
@@ -311,8 +323,15 @@ TEST(ServingSessionTest, MultipleExtensionBatchesAndCompact) {
   // Appends after the compaction flow through the fresh journal.
   ASSERT_TRUE(store.Append(2000, TestVector(dim, 99)).ok());
   ASSERT_TRUE(store.Sync().ok());
+  EXPECT_TRUE(session.Pending().value());
   EXPECT_EQ(session.Poll().value(), 1u);
   EXPECT_FALSE(session.reopened());
+  ExpectSameBits(session.Embed(2000).value(), TestVector(dim, 99));
+
+  // Without its snapshot the store cannot be checked: an error, while the
+  // mapping keeps serving what it has.
+  std::filesystem::remove(store::EmbeddingStore::SnapshotPath(dir));
+  EXPECT_EQ(session.Pending().status().code(), StatusCode::kIOError);
   ExpectSameBits(session.Embed(2000).value(), TestVector(dim, 99));
 }
 
@@ -377,6 +396,7 @@ TEST(ServingSessionTest, TornTailIsPendingDataNotCorruption) {
   ASSERT_TRUE(polled.ok()) << polled.status();
   EXPECT_EQ(polled.value(), 0u);
   EXPECT_EQ(session.Embed(777).status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(session.Pending().value());  // until the writer completes it
 
   {
     std::ofstream wal(wal_path, std::ios::binary | std::ios::app);
@@ -387,6 +407,7 @@ TEST(ServingSessionTest, TornTailIsPendingDataNotCorruption) {
   // The record completed: the very next Poll serves it.
   EXPECT_EQ(session.Poll().value(), 1u);
   ExpectSameBits(session.Embed(777).value(), phi);
+  EXPECT_FALSE(session.Pending().value());
 }
 
 TEST(ServingSessionTest, BatchShapeAndMissingFactErrors) {

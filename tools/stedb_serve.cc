@@ -1,8 +1,10 @@
 // stedb_serve: the networked embedding service — one store directory
 // behind an HTTP endpoint (serve::EmbeddingService over a shared
 // api::ServingSession). A trainer process keeps extending the same
-// directory; the server's Poll ticker tails the WAL so clients see new
-// facts within one poll interval, bit-identical to the trainer's model.
+// directory; the server tails the WAL, Polling as soon as the journal or
+// snapshot changes (an inotify watch on the directory) and at least once
+// per poll interval, so clients see new facts bit-identical to the
+// trainer's model.
 //
 //   stedb_serve /path/to/store --port=8080
 //   curl 'localhost:8080/embed?fact=17'
@@ -11,7 +13,10 @@
 //   curl 'localhost:8080/metrics'
 //
 // --port=0 binds an ephemeral port; the chosen port is printed as
-// "serving on HOST:PORT" (line-buffered) so scripts can scrape it.
+// "serving on HOST:PORT" (line-buffered) so scripts can scrape it. The
+// line ends with how the WAL is tailed: "tailing by events" (the watch is
+// live), "tailing by ticks" (no watch: Polls every --poll_ms only) or
+// "tailing off" (--poll_ms=0).
 //
 // Metrics without a scraper: --metrics-dump-sec=N writes the Prometheus
 // exposition to stderr every N seconds, and SIGUSR1 triggers one dump on
@@ -61,7 +66,9 @@ int Usage(const char* argv0) {
                "  --port=0 picks an ephemeral port (printed on stdout)\n"
                "  --threads=0 resolves via STEDB_THREADS, else hardware "
                "concurrency\n"
-               "  --poll_ms=0 disables the WAL catch-up ticker\n"
+               "  --poll_ms=N Polls the WAL when the store directory "
+               "changes and every N ms;\n"
+               "    0 disables both (no WAL catch-up)\n"
                "  --ef-search=N sets /similar's HNSW beam width "
                "(0 = library default)\n"
                "  --metrics-dump-sec=N dumps /metrics text to stderr "
@@ -117,9 +124,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
-  std::printf("serving on %s:%d (store %s, dim %zu)\n", host.c_str(),
-              service.value()->port(), dir.c_str(),
-              service.value()->dim());
+  const char* tailing = "off";
+  if (service.value()->tailing_by_events()) {
+    tailing = "by events";
+  } else if (options.poll_interval_ms > 0) {
+    tailing = "by ticks";
+  }
+  std::printf("serving on %s:%d (store %s, dim %zu), tailing %s\n",
+              host.c_str(), service.value()->port(), dir.c_str(),
+              service.value()->dim(), tailing);
 
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
