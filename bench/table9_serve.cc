@@ -238,7 +238,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "/facts failed\n");
       return 1;
     }
-    facts = serve::ParseFactList(resp.value().body, 1u << 20);
+    auto parsed = serve::ParseFactList(resp.value().body, 1u << 20);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "/facts: %s\n",
+                   parsed.status().ToString().c_str());
+      return 1;
+    }
+    facts = std::move(parsed).value();
     // First integer is the "count" field; drop it, keep the id array.
     if (!facts.empty()) facts.erase(facts.begin());
   }

@@ -327,11 +327,39 @@ std::string Serialize(const HnswConfig& config, const BuildGraph& g,
   return out;
 }
 
-/// Batch ceiling for the frozen-graph parallel insert. Doubling batches
-/// (1, 1, 2, 4, ...) keep the early graph dense; the cap bounds how stale
-/// the frozen graph a batch searches can get relative to the nodes being
-/// inserted, which is what keeps recall at exact-oracle levels.
+/// Batch ceiling for the frozen-graph parallel insert. A batch is never
+/// larger than the graph it searches, so a build from one node doubles
+/// (1, 2, 4, ...) and keeps the early graph dense; the cap bounds how
+/// stale the frozen graph a batch searches can get relative to the nodes
+/// being inserted, which is what keeps recall at exact-oracle levels.
 constexpr size_t kMaxInsertBatch = 128;
+
+/// Node ids of `base`'s nodes in the merged order of `facts`: base node j
+/// becomes facts' index of base.facts[j]. Both lists ascend, so one merge
+/// walk finds them all, and the map keeps every id comparison.
+Result<std::vector<uint32_t>> MergedIds(const HnswBase& base,
+                                        Span<const db::FactId> facts) {
+  if (base.facts.size() != base.view.num_nodes()) {
+    return Status::InvalidArgument(
+        "hnsw: base facts disagree with its node count");
+  }
+  std::vector<uint32_t> ids(base.facts.size());
+  size_t i = 0;
+  for (size_t j = 0; j < base.facts.size(); ++j) {
+    if (j > 0 && base.facts[j] <= base.facts[j - 1]) {
+      return Status::InvalidArgument(
+          "hnsw: base facts must be strictly ascending");
+    }
+    while (i < facts.size() && facts[i] < base.facts[j]) ++i;
+    if (i == facts.size() || facts[i] != base.facts[j]) {
+      return Status::InvalidArgument("hnsw: base fact " +
+                                     std::to_string(base.facts[j]) +
+                                     " is missing from the facts to index");
+    }
+    ids[j] = static_cast<uint32_t>(i);
+  }
+  return ids;
+}
 
 /// One reverse-link update of the link phase: `node` joins `target`'s
 /// list at `level`, scored `score` against it. Ordered by list, then by
@@ -372,7 +400,8 @@ double Score(Metric metric, Span<const double> a, Span<const double> b) {
 
 Result<std::string> BuildHnsw(const HnswConfig& config,
                               Span<const db::FactId> facts,
-                              const VectorSource& vectors, size_t dim) {
+                              const VectorSource& vectors, size_t dim,
+                              const HnswBase* base) {
   if (facts.empty()) {
     return Status::InvalidArgument("hnsw: cannot build over zero vectors");
   }
@@ -395,6 +424,18 @@ Result<std::string> BuildHnsw(const HnswConfig& config,
           "hnsw: facts must be strictly ascending (PHI record order)");
     }
   }
+  std::vector<uint32_t> base_ids;
+  if (base != nullptr) {
+    if (!base->view.valid() || !base->view.BuiltWith(config)) {
+      return Status::InvalidArgument(
+          "hnsw: base was built under another config");
+    }
+    if (base->view.dim() != dim) {
+      return Status::InvalidArgument(
+          "hnsw: base dimension disagrees with the vectors");
+    }
+    STEDB_ASSIGN_OR_RETURN(base_ids, MergedIds(*base, facts));
+  }
 
   // Per-node levels and norms: counter-based streams / pure kernel calls,
   // one disjoint output slot per index — the ParallelFor contract.
@@ -416,20 +457,58 @@ Result<std::string> BuildHnsw(const HnswConfig& config,
                 norms.empty() ? nullptr : norms.data()};
   const uint32_t m0 = config.m * 2;  // base-layer link ceiling
 
-  g.adj[0].resize(g.levels[0] + 1);
+  // The graph before the first batch — the base, or the one node
+  // facts[0] — and the nodes still to insert, in ascending id.
   uint32_t entry = 0;
-  uint32_t max_level = g.levels[0];
+  uint32_t max_level = 0;
+  std::vector<uint32_t> pending;
+  if (base != nullptr) {
+    const HnswView& view = base->view;
+    for (size_t j = 0; j < base_ids.size(); ++j) {
+      if (view.level(static_cast<uint32_t>(j)) != g.levels[base_ids[j]]) {
+        return Status::InvalidArgument(
+            "hnsw: base level of fact " + std::to_string(base->facts[j]) +
+            " disagrees with its level draw");
+      }
+    }
+    ParallelFor(config.threads, base_ids.size(), [&](size_t j) {
+      const auto node = static_cast<uint32_t>(j);
+      auto& per_level = g.adj[base_ids[j]];
+      per_level.resize(view.level(node) + 1);
+      for (uint32_t l = 0; l < per_level.size(); ++l) {
+        const Span<const uint32_t> links = view.neighbors(node, l);
+        per_level[l].reserve(links.size());
+        for (uint32_t id : links) per_level[l].push_back(base_ids[id]);
+      }
+    });
+    entry = base_ids[view.entry_node()];
+    max_level = view.max_level();
+    pending.reserve(n - base_ids.size());
+    size_t j = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (j < base_ids.size() && base_ids[j] == i) {
+        ++j;
+      } else {
+        pending.push_back(i);
+      }
+    }
+  } else {
+    g.adj[0].resize(g.levels[0] + 1);
+    max_level = g.levels[0];
+    pending.resize(n - 1);
+    for (uint32_t i = 1; i < n; ++i) pending[i - 1] = i;
+  }
+  size_t in_graph = n - pending.size();
 
   // Per-batch slots: picked[bi][level] is the batch node's own neighbor
   // list, written by exactly one index of the search fan-out.
   std::vector<std::vector<std::vector<ScoredNode>>> picked;
   std::vector<ReverseLink> links;
   std::vector<size_t> group_starts;
-  size_t next = 1;
-  size_t batch = 1;
-  while (next < n) {
-    const size_t batch_size = std::min(batch, n - next);
-    batch = std::min(batch * 2, kMaxInsertBatch);
+  for (size_t next = 0; next < pending.size();) {
+    const size_t batch_size =
+        std::min({in_graph, kMaxInsertBatch, pending.size() - next});
+    const uint32_t* batch = pending.data() + next;
     picked.assign(batch_size, {});
     const uint32_t frozen_entry = entry;
     const uint32_t frozen_max = max_level;
@@ -439,7 +518,7 @@ Result<std::string> BuildHnsw(const HnswConfig& config,
     // neighbors from them. No shared mutable state, so the results cannot
     // depend on scheduling.
     ParallelFor(config.threads, batch_size, [&](size_t bi) {
-      const auto node = static_cast<uint32_t>(next + bi);
+      const uint32_t node = batch[bi];
       const double* q = vectors.Row(node);
       const double q_norm = norms.empty() ? 0.0 : norms[node];
       const uint32_t node_level = g.levels[node];
@@ -463,7 +542,7 @@ Result<std::string> BuildHnsw(const HnswConfig& config,
     // batch: own lists belong to batch nodes, reverse targets do not.
     links.clear();
     for (size_t bi = 0; bi < batch_size; ++bi) {
-      const auto node = static_cast<uint32_t>(next + bi);
+      const uint32_t node = batch[bi];
       const uint32_t node_level = g.levels[node];
       g.adj[node].resize(node_level + 1);
       for (uint32_t l = 0; l <= node_level; ++l) {
@@ -514,6 +593,7 @@ Result<std::string> BuildHnsw(const HnswConfig& config,
       }
     });
     next += batch_size;
+    in_graph += batch_size;
   }
 
   return Serialize(config, g, max_level, entry, dim, norms);
@@ -647,6 +727,11 @@ Result<HnswView> HnswView::Open(const char* data, size_t size,
     return Status::InvalidArgument("hnsw: entry node level mismatch");
   }
   return view;
+}
+
+bool HnswView::BuiltWith(const HnswConfig& config) const {
+  return metric_ == config.metric && m_ == config.m &&
+         ef_construction_ == config.ef_construction && seed_ == config.seed;
 }
 
 Span<const uint32_t> HnswView::neighbors(uint32_t node, uint32_t lvl) const {

@@ -17,7 +17,10 @@ namespace stedb::ann {
 /// api::ServingSession::SimilarTopK. Two halves, one byte format:
 ///
 ///  * BuildHnsw() constructs the graph and serializes it to a flat,
-///    position-independent payload (the 'ANN ' snapshot section).
+///    position-independent payload (the 'ANN ' snapshot section). It
+///    either starts from the one-node graph {facts[0]} or extends an
+///    earlier payload (HnswBase), with the same insert loop: only the
+///    facts not yet in the graph are searched for and linked.
 ///  * HnswView opens that payload zero-copy — over an mmap'd snapshot or
 ///    an in-memory buffer — and answers top-k queries by greedy descent
 ///    plus a best-first beam search at the base layer.
@@ -31,22 +34,33 @@ namespace stedb::ann {
 ///  * Level draws are counter-based: node levels come from
 ///    `Rng(seed).Fork(fact_id)`, a pure function of (seed, fact id) —
 ///    never from a shared sequential generator — so they are independent
-///    of insertion order and thread count.
-///  * Parallelism only schedules. Nodes are inserted in batches with two
-///    parallel phases each. The search phase searches the *frozen*
-///    pre-batch graph and selects each batch node's own neighbors into
-///    its slot. The link phase applies the reverse links, one task per
-///    (target node, level) list, each in ascending node order. Picked
-///    neighbors all predate the batch, so no two tasks share a list and
-///    every list sees the updates a serial per-node loop would apply.
+///    of insertion order and thread count, and a base's levels must equal
+///    the draws of its facts.
+///  * Parallelism only schedules. The facts missing from the graph are
+///    inserted in ascending fact id, in batches of min(nodes already in
+///    the graph, kMaxInsertBatch) with two parallel phases each — so a
+///    from-scratch build runs batches of 1, 2, 4, …, 128, 128, … and an
+///    extension of a large base runs batches of 128. The search phase
+///    searches the *frozen* pre-batch graph and selects each batch node's
+///    own neighbors into its slot. The link phase applies the reverse
+///    links, one task per (target node, level) list, each in ascending
+///    node order. Picked neighbors all predate the batch, so no two tasks
+///    share a list and every list sees the updates a serial per-node loop
+///    would apply.
 ///  * Every ordering decision (beam, neighbor selection, results) uses
 ///    the lexicographic (score, node id) order — fact id is the
-///    tie-break, so equal scores cannot reorder across runs.
+///    tie-break, so equal scores cannot reorder across runs. A base's
+///    node ids are remapped into the merged ascending fact order, which
+///    keeps every list's order and every id comparison.
 ///  * Distances route through the la::kernels dispatch table, whose
 ///    scalar and AVX2 paths are bit-identical; the graph therefore does
 ///    not depend on STEDB_SIMD either.
-/// Together: one (seed, vectors, config) triple yields one byte-exact
-/// payload at any thread count on any SIMD path.
+/// Together: one (seed, config, vectors, base payload) tuple yields one
+/// byte-exact payload at any thread count on any SIMD path. An extended
+/// graph is not the graph a from-scratch build over the same vectors
+/// gives (its early nodes were linked without the later ones); it is the
+/// graph HNSW's own incremental insert gives, and its recall is tested
+/// against the from-scratch build's.
 
 /// Distance metrics; values are persisted in the payload header.
 enum class Metric : uint32_t { kCosine = 0, kEuclidean = 1, kDot = 2 };
@@ -126,13 +140,22 @@ double PairScore(Metric metric, const double* a, const double* b, size_t dim,
 /// that computes its query norm once still matches scores from this.
 double Score(Metric metric, Span<const double> a, Span<const double> b);
 
+struct HnswBase;  // below HnswView
+
 /// Builds the index over `facts.size()` vectors (node i = facts[i], which
 /// must be strictly ascending — the PHI record order) and returns the
-/// serialized payload. InvalidArgument on empty input, a bad config, or
-/// unsorted facts.
+/// serialized payload. Without a base the graph starts as the one node
+/// facts[0]; with one it starts as the base, whose nodes keep their
+/// levels and links (ids remapped into `facts`' order) while the facts
+/// it lacks are inserted. A base holding every fact reproduces its own
+/// payload byte for byte. InvalidArgument on empty input, a bad config,
+/// unsorted facts, or a base that does not fit: built under another
+/// config (HnswView::BuiltWith) or dimension, facts unsorted or missing
+/// from `facts`, or a node level that disagrees with its fact's draw.
 Result<std::string> BuildHnsw(const HnswConfig& config,
                               Span<const db::FactId> facts,
-                              const VectorSource& vectors, size_t dim);
+                              const VectorSource& vectors, size_t dim,
+                              const HnswBase* base = nullptr);
 
 /// Zero-copy reader over a serialized payload. Open() validates the
 /// whole structure up front (header ranges, exact payload size, every
@@ -158,6 +181,9 @@ class HnswView {
   uint64_t seed() const { return seed_; }
   uint32_t max_level() const { return max_level_; }
   uint32_t entry_node() const { return entry_; }
+  /// Whether the header's metric, m, ef_construction and seed are
+  /// `config`'s — the knobs that shape the graph (threads does not).
+  bool BuiltWith(const HnswConfig& config) const;
 
   /// Node's level and per-level adjacency (level 0 first in the pool, so
   /// the base-layer hot path is one offset lookup).
@@ -184,6 +210,18 @@ class HnswView {
   uint64_t seed_ = 0;
   uint32_t max_level_ = 0;
   uint32_t entry_ = 0;
+};
+
+/// An earlier payload to extend instead of starting from one node: the
+/// payload opened as a view, and the strictly ascending facts its nodes
+/// stand for (node j = facts[j], the PHI record order of its snapshot).
+/// The caller vouches that BuildHnsw's `vectors` hold, for each of these
+/// facts, the bytes the base was built over: the builder cannot see the
+/// old vectors, so EmbeddingStore::Compact compares them before it
+/// extends.
+struct HnswBase {
+  HnswView view;
+  Span<const db::FactId> facts;
 };
 
 namespace internal {

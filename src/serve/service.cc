@@ -14,6 +14,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <string_view>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -107,6 +109,28 @@ int HttpStatusFor(const Status& st) {
   }
 }
 
+/// The one range check behind every fact id a request names: `v`, parsed
+/// from `text`, as a db::FactId, or InvalidArgument (400) when it does
+/// not fit in one. A narrowing cast would alias 2^32 to fact 0, and
+/// strtoll saturates longer numbers to a value outside the range too.
+Result<db::FactId> CheckedFactId(long long v, std::string_view text) {
+  if (v < std::numeric_limits<db::FactId>::min() ||
+      v > std::numeric_limits<db::FactId>::max()) {
+    return Status::InvalidArgument("fact id " + std::string(text) +
+                                   " is outside the 32-bit fact id range");
+  }
+  return static_cast<db::FactId>(v);
+}
+
+/// The `?fact=` parameter of /embed, /topk and /similar. A value that is
+/// not a number reads as kNoFact, which no store serves (404).
+Result<db::FactId> FactParam(const HttpRequest& req) {
+  if (!req.HasParam("fact")) {
+    return Status::InvalidArgument("missing ?fact=<id> parameter");
+  }
+  return CheckedFactId(req.ParamInt("fact", db::kNoFact), req.Param("fact"));
+}
+
 HttpResponse ErrorResponse(const Status& st) {
   std::string body = "{\"error\":\"";
   // Status messages here are ASCII diagnostics; escape the two JSON
@@ -156,8 +180,8 @@ bool DrainWatch(int fd, bool* removed) {
 
 }  // namespace
 
-std::vector<db::FactId> ParseFactList(const std::string& text,
-                                      size_t max_facts) {
+Result<std::vector<db::FactId>> ParseFactList(const std::string& text,
+                                              size_t max_facts) {
   std::vector<db::FactId> facts;
   const char* p = text.c_str();
   const char* end = p + text.size();
@@ -172,7 +196,10 @@ std::vector<db::FactId> ParseFactList(const std::string& text,
     }
     char* after = nullptr;
     const long long v = std::strtoll(p, &after, 10);
-    facts.push_back(static_cast<db::FactId>(v));
+    STEDB_ASSIGN_OR_RETURN(
+        const db::FactId fact,
+        CheckedFactId(v, std::string_view(p, static_cast<size_t>(after - p))));
+    facts.push_back(fact);
     p = after;
   }
   return facts;
@@ -440,12 +467,9 @@ void EmbeddingService::RegisterHandlers() {
 }
 
 HttpResponse EmbeddingService::HandleEmbed(const HttpRequest& req) {
-  if (!req.HasParam("fact")) {
-    return ErrorResponse(
-        Status::InvalidArgument("missing ?fact=<id> parameter"));
-  }
-  const auto fact =
-      static_cast<db::FactId>(req.ParamInt("fact", db::kNoFact));
+  const Result<db::FactId> parsed = FactParam(req);
+  if (!parsed.ok()) return ErrorResponse(parsed.status());
+  const db::FactId fact = parsed.value();
   PendingEmbed served = CoalescedEmbed(fact);
   if (!served.status.ok()) return ErrorResponse(served.status);
 
@@ -466,8 +490,10 @@ HttpResponse EmbeddingService::HandleEmbed(const HttpRequest& req) {
 HttpResponse EmbeddingService::HandleEmbedBatch(const HttpRequest& req) {
   const std::string& source =
       req.HasParam("facts") ? req.Param("facts") : req.body;
-  std::vector<db::FactId> facts =
+  Result<std::vector<db::FactId>> parsed =
       ParseFactList(source, options_.max_batch_facts);
+  if (!parsed.ok()) return ErrorResponse(parsed.status());
+  const std::vector<db::FactId>& facts = parsed.value();
   if (facts.empty()) {
     return ErrorResponse(Status::InvalidArgument(
         "no fact ids in ?facts= or request body"));
@@ -508,12 +534,9 @@ HttpResponse EmbeddingService::HandleEmbedBatch(const HttpRequest& req) {
 }
 
 HttpResponse EmbeddingService::HandleTopK(const HttpRequest& req) {
-  if (!req.HasParam("fact")) {
-    return ErrorResponse(
-        Status::InvalidArgument("missing ?fact=<id> parameter"));
-  }
-  const auto fact =
-      static_cast<db::FactId>(req.ParamInt("fact", db::kNoFact));
+  const Result<db::FactId> parsed = FactParam(req);
+  if (!parsed.ok()) return ErrorResponse(parsed.status());
+  const db::FactId fact = parsed.value();
   const auto k = static_cast<size_t>(std::max<int64_t>(
       1, std::min<int64_t>(req.ParamInt("k", 10),
                            static_cast<int64_t>(options_.max_topk))));
@@ -543,12 +566,9 @@ HttpResponse EmbeddingService::HandleTopK(const HttpRequest& req) {
 }
 
 HttpResponse EmbeddingService::HandleSimilar(const HttpRequest& req) {
-  if (!req.HasParam("fact")) {
-    return ErrorResponse(
-        Status::InvalidArgument("missing ?fact=<id> parameter"));
-  }
-  const auto fact =
-      static_cast<db::FactId>(req.ParamInt("fact", db::kNoFact));
+  const Result<db::FactId> parsed = FactParam(req);
+  if (!parsed.ok()) return ErrorResponse(parsed.status());
+  const db::FactId fact = parsed.value();
   const auto k = static_cast<size_t>(std::max<int64_t>(
       1, std::min<int64_t>(req.ParamInt("k", 10),
                            static_cast<int64_t>(options_.max_topk))));

@@ -186,9 +186,11 @@ class EmbeddingService {
 
 /// Extracts every signed integer from `text` — the lenient fact-id list
 /// parser behind /embed_batch ("1,2,3", "[1, 2, 3]", {"facts":[1,2]} all
-/// parse the same). Exposed for tests.
-std::vector<db::FactId> ParseFactList(const std::string& text,
-                                      size_t max_facts);
+/// parse the same). Stops after max_facts + 1 ids, so the caller can tell
+/// an oversized batch; InvalidArgument, naming the id, when one of those
+/// does not fit in a db::FactId. Exposed for tests.
+Result<std::vector<db::FactId>> ParseFactList(const std::string& text,
+                                              size_t max_facts);
 
 }  // namespace stedb::serve
 

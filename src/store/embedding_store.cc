@@ -1,6 +1,8 @@
 #include "src/store/embedding_store.h"
 
+#include <cstring>
 #include <filesystem>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -42,6 +44,13 @@ struct StoreMetrics {
   obs::Histogram& compact_seconds = reg.GetHistogram(
       "stedb_store_compact_seconds", "Compact latency",
       obs::Buckets::Latency());
+  /// Compact's stages apart from the index build (ann_build_seconds):
+  /// together they add up to compact_seconds, less the gaps between the
+  /// timers. One observation each per Compact that reaches the stage.
+  obs::Histogram& compact_sync = CompactStage("sync");
+  obs::Histogram& compact_encode = CompactStage("encode");
+  obs::Histogram& compact_write = CompactStage("write");
+  obs::Histogram& compact_reset_wal = CompactStage("reset_wal");
   obs::Histogram& ann_build_seconds = reg.GetHistogram(
       "stedb_store_ann_build_seconds",
       "HNSW index construction latency inside snapshot writes "
@@ -54,6 +63,15 @@ struct StoreMetrics {
       "stedb_store_journal_offset_bytes",
       "Journal byte offset (header + records) of the most recently "
       "written store");
+
+  obs::Histogram& CompactStage(const char* stage) {
+    return reg.GetHistogram(
+        "stedb_store_compact_stage_seconds",
+        "Compact latency by stage: sync (the journal fsync), encode (the "
+        "codec), write (snapshot write, fsync and rename), reset_wal; the "
+        "index build is stedb_store_ann_build_seconds",
+        obs::Buckets::Latency(), {{"stage", stage}});
+  }
 };
 
 StoreMetrics& Metrics() {
@@ -65,35 +83,109 @@ StoreMetrics& Metrics() {
 // exports the store families, at zero, so scrapes see a stable schema.
 [[maybe_unused]] const StoreMetrics& g_eager_metrics = Metrics();
 
-/// Encodes `model` through its codec and, when the options ask for it,
-/// appends the 'ANN ' index section built over the model's φ vectors.
-/// Shared by Create() and WriteSnapshotFile() so every snapshot write —
-/// initial persist and each Compact — carries the same sections.
-Result<std::string> EncodeSnapshotBytes(const ModelCodec& codec,
-                                        const StoredModel& model,
-                                        const StoreOptions& options) {
-  STEDB_ASSIGN_OR_RETURN(std::string bytes, codec.Encode(model));
-  if (!options.build_ann_index || model.num_embedded() == 0) return bytes;
-  obs::ScopedTimer timer(Metrics().ann_build_seconds);
-  // Gather the φ rows in PHI order (ForEachPhi ascends fact ids) so ANN
-  // node i is exactly PHI record i — the identity MmapSnapshot's
-  // zero-copy serving path relies on.
-  const size_t dim = model.dim();
+/// Records read from the replaced snapshot per chunk while checking it
+/// against the new one: ~260 KiB at d = 32, so the old PHI section never
+/// sits in memory whole.
+constexpr size_t kPhiChunkRecords = 1024;
+
+/// The index of the snapshot a Compact replaces, as the base to extend
+/// (ann::HnswBase): its 'ANN ' payload and the facts of its nodes.
+struct AnnBase {
+  std::vector<uint64_t> payload;  ///< 8-aligned, HnswView-ready
   std::vector<db::FactId> facts;
-  std::vector<double> rows;
-  facts.reserve(model.num_embedded());
-  rows.reserve(model.num_embedded() * dim);
-  model.ForEachPhi([&facts, &rows](db::FactId f, const la::Vector& v) {
-    facts.push_back(f);
-    rows.insert(rows.end(), v.begin(), v.end());
-  });
+  ann::HnswBase base;
+};
+
+/// Reads the base from the snapshot at `path` for an index over `facts`
+/// and `vectors` (the PHI records just encoded, in order), or nothing
+/// when it cannot be one: the file, its 'ANN ' or PHI section is missing
+/// or fails its CRC, the index was built under another config than
+/// `config`, or an indexed fact is no longer embedded with the same
+/// bytes (an Append overwrote it). None of these is an error — the index
+/// is then built from scratch.
+std::optional<AnnBase> ReadAnnBase(const std::string& path,
+                                   const ann::HnswConfig& config,
+                                   const std::vector<db::FactId>& facts,
+                                   const ann::VectorSource& vectors,
+                                   size_t dim) {
+  Result<SnapshotFileReader> reader = SnapshotFileReader::Open(path);
+  if (!reader.ok() || reader.value().header().dim != dim) return std::nullopt;
+  AnnBase out;
+  size_t payload_size = 0;
+  if (!reader.value()
+           .ReadSection(kAnnSectionTag, &out.payload, &payload_size)
+           .ok()) {
+    return std::nullopt;
+  }
+  size_t next = 0;  // cursor into the new records; both lists ascend
+  const Status streamed = reader.value().StreamPhiRecords(
+      kPhiChunkRecords, [&](const char* records, size_t count) {
+        for (size_t i = 0; i < count; ++i) {
+          const char* record = records + i * PhiRecordBytes(dim);
+          int64_t fact = 0;
+          std::memcpy(&fact, record, sizeof(fact));
+          while (next < facts.size() && facts[next] < fact) ++next;
+          if (next == facts.size() || facts[next] != fact ||
+              std::memcmp(record + sizeof(fact), vectors.Row(next),
+                          dim * sizeof(double)) != 0) {
+            return Status::FailedPrecondition("indexed fact changed");
+          }
+          out.facts.push_back(facts[next]);
+        }
+        return Status::OK();
+      });
+  if (!streamed.ok()) return std::nullopt;
+  Result<ann::HnswView> view =
+      ann::HnswView::Open(reinterpret_cast<const char*>(out.payload.data()),
+                          payload_size, out.facts.size(), dim);
+  if (!view.ok() || !view.value().BuiltWith(config)) return std::nullopt;
+  // The view and the span point into the two vectors' heap buffers, which
+  // moving `out` into the optional keeps in place.
+  out.base = ann::HnswBase{view.value(), out.facts};
+  return out;
+}
+
+/// Appends the 'ANN ' index section to `bytes`, a container the codec has
+/// just encoded, when the options ask for one. Node i is PHI record i,
+/// the identity MmapSnapshot's zero-copy serving path relies on, and the
+/// builder reads the vectors in place from the encoded records. The
+/// index extends the one in the snapshot at `previous` when ReadAnnBase
+/// finds it fit, and is built from scratch otherwise (and at Create,
+/// where `previous` is empty). Timed whole, base read included, by
+/// stedb_store_ann_build_seconds.
+Status AppendAnnSection(std::string* bytes, const StoreOptions& options,
+                        const std::string& previous) {
+  if (!options.build_ann_index) return Status::OK();
+  STEDB_ASSIGN_OR_RETURN(
+      ParsedSnapshot snap,
+      ParseSnapshotContainer(bytes->data(), bytes->size(),
+                             /*verify_crcs=*/false));
+  const auto dim = static_cast<size_t>(snap.header.dim);
+  ByteReader phi = snap.Find(kPhiSectionTag)->reader();
+  uint64_t count = 0;
+  if (!phi.ReadU64(&count)) {
+    return Status::Internal("store: encoded PHI section has no count");
+  }
+  if (count == 0) return Status::OK();
+  obs::ScopedTimer timer(Metrics().ann_build_seconds);
+  const char* records = phi.cursor();
+  std::vector<db::FactId> facts(count);
+  for (size_t i = 0; i < count; ++i) {
+    int64_t fact = 0;
+    std::memcpy(&fact, records + i * PhiRecordBytes(dim), sizeof(fact));
+    facts[i] = static_cast<db::FactId>(fact);
+  }
+  const ann::VectorSource vectors{records + sizeof(int64_t),
+                                  PhiRecordBytes(dim)};
+  std::optional<AnnBase> base;
+  if (!previous.empty()) {
+    base = ReadAnnBase(previous, options.ann, facts, vectors, dim);
+  }
   STEDB_ASSIGN_OR_RETURN(
       std::string payload,
-      ann::BuildHnsw(options.ann, facts,
-                     ann::VectorSource::Dense(rows.data(), dim), dim));
-  STEDB_RETURN_IF_ERROR(
-      AppendSnapshotSection(&bytes, kAnnSectionTag, payload));
-  return bytes;
+      ann::BuildHnsw(options.ann, facts, vectors, dim,
+                     base.has_value() ? &base->base : nullptr));
+  return AppendSnapshotSection(bytes, kAnnSectionTag, payload);
 }
 
 }  // namespace
@@ -120,12 +212,6 @@ EmbeddingStore::EmbeddingStore(std::string dir, StoreOptions options,
       wal_records_(wal_records),
       recovered_torn_tail_(torn) {}
 
-Status EmbeddingStore::WriteSnapshotFile() const {
-  STEDB_ASSIGN_OR_RETURN(std::string bytes,
-                         EncodeSnapshotBytes(*codec_, *model_, options_));
-  return AtomicWriteFile(SnapshotPath(dir_), bytes);
-}
-
 Result<EmbeddingStore> EmbeddingStore::Create(
     const std::string& dir, uint32_t method_tag,
     std::unique_ptr<StoredModel> model, StoreOptions options) {
@@ -142,8 +228,9 @@ Result<EmbeddingStore> EmbeddingStore::Create(
     return Status::IOError("store: cannot create directory " + dir);
   }
   {
-    STEDB_ASSIGN_OR_RETURN(std::string bytes,
-                           EncodeSnapshotBytes(*codec, *model, options));
+    STEDB_ASSIGN_OR_RETURN(std::string bytes, codec->Encode(*model));
+    STEDB_RETURN_IF_ERROR(
+        AppendAnnSection(&bytes, options, /*previous=*/""));
     STEDB_RETURN_IF_ERROR(AtomicWriteFile(SnapshotPath(dir), bytes));
   }
   STEDB_RETURN_IF_ERROR(ResetWal(WalPath(dir), model->dim()));
@@ -263,14 +350,30 @@ Status EmbeddingStore::Sync() {
 Status EmbeddingStore::Compact() {
   obs::Span span("store.compact", Metrics().compact_seconds,
                  /*slow_log_sec=*/1.0);
-  STEDB_RETURN_IF_ERROR(Sync());
+  StoreMetrics& m = Metrics();
+  {
+    obs::ScopedTimer stage(m.compact_sync);
+    STEDB_RETURN_IF_ERROR(Sync());
+  }
   // Order matters for crash safety: (1) the new snapshot lands atomically
   // (old snapshot + full journal remain valid until the rename), (2) the
   // journal is reset. A crash between (1) and (2) leaves journal records
-  // that are already in the snapshot — harmless, see Open().
-  STEDB_RETURN_IF_ERROR(WriteSnapshotFile());
+  // that are already in the snapshot — harmless, see Open(). The index
+  // is read from the old snapshot before (1) replaces it.
+  const std::string path = SnapshotPath(dir_);
+  std::string bytes;
+  {
+    obs::ScopedTimer stage(m.compact_encode);
+    STEDB_ASSIGN_OR_RETURN(bytes, codec_->Encode(*model_));
+  }
+  STEDB_RETURN_IF_ERROR(AppendAnnSection(&bytes, options_, path));
+  {
+    obs::ScopedTimer stage(m.compact_write);
+    STEDB_RETURN_IF_ERROR(AtomicWriteFile(path, bytes));
+  }
+  obs::ScopedTimer reset_stage(m.compact_reset_wal);
   STEDB_RETURN_IF_ERROR(wal_.Close());
-  Metrics().fsyncs.Inc();  // Close() forces the old journal's tail
+  m.fsyncs.Inc();  // Close() forces the old journal's tail
   folded_fsyncs_ += wal_.sync_count();
   STEDB_RETURN_IF_ERROR(ResetWal(WalPath(dir_), model_->dim()));
   STEDB_ASSIGN_OR_RETURN(WalWriter wal,
@@ -280,7 +383,6 @@ Status EmbeddingStore::Compact() {
   unsynced_bytes_ = 0;
   unsynced_records_ = 0;
   journal_bytes_ = kWalHeaderBytes;
-  StoreMetrics& m = Metrics();
   m.compactions.Inc();
   m.journal_offset.Set(static_cast<double>(journal_bytes_));
   return Status::OK();

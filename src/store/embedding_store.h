@@ -52,7 +52,12 @@ struct StoreOptions {
   /// Compact(). The section rides the container's CRC + alignment
   /// guarantees, so MmapSnapshot / api::ServingSession serve the graph
   /// zero-copy; readers that predate the section ignore it. Off by
-  /// default: building is O(n · ef_construction) at compaction time.
+  /// default: Create builds the graph from scratch, O(n · ef_construction).
+  /// Compact extends the replaced snapshot's graph, inserting only the
+  /// facts journaled since: O(new facts · ef_construction) plus a pass
+  /// over the old index and PHI section. It rebuilds from scratch instead
+  /// when that graph cannot be extended: a missing or corrupt section,
+  /// another `ann` config, or an indexed fact that an Append overwrote.
   bool build_ann_index = false;
   /// Graph knobs used when build_ann_index is set. `ann.threads`
   /// parallelizes the build without changing the produced bytes.
@@ -89,7 +94,8 @@ struct StoreOptions {
 ///     (atomic temp-file + rename, then journal reset). Crash-safe at
 ///     every point: the old snapshot stays until the rename, and a
 ///     leftover journal replayed over the *new* snapshot only rewrites
-///     identical vectors.
+///     identical vectors — which is also why the next Compact may still
+///     extend that snapshot's ANN index.
 ///
 /// `MakeSink()` adapts the store to the `EmbeddingSink` writer interface
 /// that `fwd::ForwardEmbedder` / `n2v::Node2VecEmbedding` call once per
@@ -165,8 +171,6 @@ class EmbeddingStore {
                  std::unique_ptr<StoredModel> model, WalWriter wal,
                  size_t wal_records, bool torn);
 
-  /// Writes the current model as the snapshot file (atomic).
-  Status WriteSnapshotFile() const;
   /// Applies the group-commit policy after one append of `record_bytes`.
   Status MaybeGroupSync(size_t record_bytes);
   /// Whether the oldest unsynced record has waited group_commit_usec.

@@ -1,6 +1,8 @@
 #ifndef STEDB_STORE_MODEL_CODEC_H_
 #define STEDB_STORE_MODEL_CODEC_H_
 
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,8 +103,57 @@ struct ParsedSnapshot {
 /// Verifies magic, container version, header sanity and every section's
 /// CRC. Returns views into `data` — zero-copy, usable over an mmap.
 /// Old (v1) and future (>2) format versions fail with a Status that names
-/// the version mismatch, never a checksum error.
-Result<ParsedSnapshot> ParseSnapshotContainer(const char* data, size_t size);
+/// the version mismatch, never a checksum error. `verify_crcs = false`
+/// skips the CRCs only, for bytes the caller has just encoded itself.
+Result<ParsedSnapshot> ParseSnapshotContainer(const char* data, size_t size,
+                                              bool verify_crcs = true);
+
+/// Reads a snapshot file section by section instead of whole: Open()
+/// reads the header and the section table, seeking past every payload
+/// (the structural checks of ParseSnapshotContainer, without the CRCs);
+/// then only the payloads asked for are read, each checked against its
+/// CRC. Compact reads the index and the PHI records of the snapshot it
+/// replaces this way, so the old file never sits in memory beside the
+/// new one.
+class SnapshotFileReader {
+ public:
+  /// IOError when `path` cannot be read, InvalidArgument when its header
+  /// or section table is malformed.
+  static Result<SnapshotFileReader> Open(const std::string& path);
+
+  const SnapshotHeader& header() const { return header_; }
+
+  /// The payload of the first section tagged `tag`, CRC-checked, as
+  /// 8-byte words — so it sits 8-aligned, as ann::HnswView::Open needs —
+  /// with its byte length in `*size`. NotFound when there is none.
+  Status ReadSection(uint32_t tag, std::vector<uint64_t>* words,
+                     size_t* size);
+
+  /// Streams the 'PHI ' records — PhiRecordBytes(dim) each, 8-aligned —
+  /// to `fn(records, count)` in chunks of at most `chunk_records`, then
+  /// checks the section's CRC. `fn` sees the bytes before the CRC does:
+  /// act on what it gathered only when this returns OK. A non-OK status
+  /// from `fn` stops the stream and is returned.
+  Status StreamPhiRecords(
+      size_t chunk_records,
+      const std::function<Status(const char* records, size_t count)>& fn);
+
+ private:
+  struct Entry {
+    uint32_t tag = 0;
+    uint32_t crc = 0;
+    uint64_t offset = 0;  ///< payload's file offset
+    uint64_t size = 0;
+  };
+  const Entry* Find(uint32_t tag) const;
+  /// Reads `n` bytes at the file's current position; IOError when short.
+  Status Read(char* out, size_t n);
+
+  std::string path_;
+  std::ifstream in_;
+  SnapshotHeader header_;
+  std::vector<Entry> sections_;
+};
 
 /// Serializes a v2 container: header up front, AddSection per section,
 /// Finish() patches the section count and returns the bytes.
@@ -126,6 +177,9 @@ class SnapshotBuilder {
 /// know about it. InvalidArgument when `container` is not a v2 container.
 Status AppendSnapshotSection(std::string* container, uint32_t tag,
                              const std::string& payload);
+
+/// Byte size of one 'PHI ' record: the i64 fact id, then dim doubles.
+constexpr size_t PhiRecordBytes(size_t dim) { return 8 + 8 * dim; }
 
 /// Encodes the standard 'PHI ' payload from a model (ascending fact id).
 std::string EncodePhiPayload(const StoredModel& model);

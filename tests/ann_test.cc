@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/ann/hnsw.h"
@@ -378,6 +379,212 @@ TEST(HnswDeterminismTest, BuildIsByteIdenticalAcrossSimdPaths) {
   }
   EXPECT_EQ(per_path[0], per_path[1])
       << "scalar and AVX2 builds must serialize the same graph";
+}
+
+// ---- Extension ----------------------------------------------------------
+
+// The pinned input split in two: a base over its first 2,700 rows,
+// extended by the last 300 (as Compact extends the replaced snapshot's
+// index by the journaled facts). Recorded when the extension landed.
+constexpr size_t kPinnedBaseN = 2'700;
+constexpr uint32_t kPinnedExtendedCrc = 799165457;
+constexpr size_t kPinnedExtendedSize = 395440;
+
+/// A payload copied into aligned storage with its view and the facts of
+/// its nodes — what an extension takes as ann::HnswBase.
+struct OpenedBase {
+  AlignedPayload payload;
+  std::vector<db::FactId> facts;
+  ann::HnswView view;
+
+  OpenedBase(const std::string& bytes, std::vector<db::FactId> node_facts,
+             size_t dim)
+      : payload(bytes), facts(std::move(node_facts)) {
+    auto opened =
+        ann::HnswView::Open(payload.data(), payload.size(), facts.size(), dim);
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    if (opened.ok()) view = opened.value();
+  }
+  ann::HnswBase base() const { return ann::HnswBase{view, facts}; }
+};
+
+TEST(HnswExtendTest, ExtensionIsByteIdenticalAcrossThreadsAndSimdPaths) {
+  const std::vector<double> data =
+      ClusteredVectors(kPinnedN, kPinnedDim, kPinnedSeed);
+  const ann::VectorSource vectors =
+      ann::VectorSource::Dense(data.data(), kPinnedDim);
+  const std::vector<db::FactId> facts = AscendingFacts(kPinnedN, 5);
+  const std::vector<db::FactId> base_facts(facts.begin(),
+                                           facts.begin() + kPinnedBaseN);
+  auto base_payload =
+      ann::BuildHnsw(ann::HnswConfig(), base_facts, vectors, kPinnedDim);
+  ASSERT_TRUE(base_payload.ok()) << base_payload.status();
+  const OpenedBase opened(base_payload.value(), base_facts, kPinnedDim);
+  const ann::HnswBase base = opened.base();
+
+  testing::SimdPathGuard guard;
+  std::vector<la::SimdPath> paths = {la::SimdPath::kScalar};
+  if (testing::HasAvx2()) paths.push_back(la::SimdPath::kAvx2);
+  std::string reference;
+  for (la::SimdPath path : paths) {
+    la::internal::ForceSimdPathForTest(path);
+    for (int threads : {1, 2, 3, 4}) {
+      ann::HnswConfig config;
+      config.threads = threads;
+      auto payload =
+          ann::BuildHnsw(config, facts, vectors, kPinnedDim, &base);
+      ASSERT_TRUE(payload.ok()) << payload.status();
+      const std::string when = "path " +
+                               std::to_string(static_cast<int>(path)) +
+                               ", threads " + std::to_string(threads);
+      EXPECT_EQ(payload.value().size(), kPinnedExtendedSize) << when;
+      EXPECT_EQ(store::Crc32(payload.value().data(), payload.value().size()),
+                kPinnedExtendedCrc)
+          << when;
+      if (reference.empty()) reference = payload.value();
+      EXPECT_EQ(payload.value(), reference) << when;
+    }
+  }
+
+  // The extension kept the base: every base node keeps its level and its
+  // upper-level lists grow only by inserted nodes, while a from-scratch
+  // build over all 3000 rows is a different graph (the pinned one).
+  AlignedPayload aligned(reference);
+  auto view =
+      ann::HnswView::Open(aligned.data(), aligned.size(), kPinnedN, kPinnedDim);
+  ASSERT_TRUE(view.ok()) << view.status();
+  for (uint32_t node = 0; node < kPinnedBaseN; ++node) {
+    ASSERT_EQ(view.value().level(node), opened.view.level(node));
+  }
+  EXPECT_NE(store::Crc32(reference.data(), reference.size()),
+            kPinnedPayloadCrc);
+}
+
+TEST(HnswExtendTest, ExtendingByZeroFactsReproducesTheBase) {
+  const std::vector<double> data =
+      ClusteredVectors(kPinnedN, kPinnedDim, kPinnedSeed);
+  const ann::VectorSource vectors =
+      ann::VectorSource::Dense(data.data(), kPinnedDim);
+  const std::vector<db::FactId> facts = AscendingFacts(kPinnedN, 5);
+  auto payload = ann::BuildHnsw(ann::HnswConfig(), facts, vectors, kPinnedDim);
+  ASSERT_TRUE(payload.ok()) << payload.status();
+  const OpenedBase opened(payload.value(), facts, kPinnedDim);
+  const ann::HnswBase base = opened.base();
+  auto again =
+      ann::BuildHnsw(ann::HnswConfig(), facts, vectors, kPinnedDim, &base);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again.value(), payload.value());
+}
+
+/// recall@10 of `payload` (over the first `n` rows of `data`) against the
+/// exact oracle, on 200 held-out queries at ef 64.
+double RecallAtTen(const std::string& payload, const std::vector<double>& data,
+                   size_t n, size_t dim) {
+  AlignedPayload aligned(payload);
+  auto view = ann::HnswView::Open(aligned.data(), aligned.size(), n, dim);
+  EXPECT_TRUE(view.ok()) << view.status();
+  if (!view.ok()) return 0.0;
+  const std::vector<double> indexed(data.begin(), data.begin() + n * dim);
+  const std::vector<double> queries = ClusteredVectors(200, dim, 0xB0B);
+  size_t matched = 0;
+  for (size_t q = 0; q < 200; ++q) {
+    const double* query = &queries[q * dim];
+    std::set<uint32_t> want;
+    for (const ann::ScoredNode& h :
+         ExactTopK(ann::Metric::kCosine, query, indexed, dim, 10)) {
+      want.insert(h.node);
+    }
+    for (const ann::ScoredNode& h : view.value().Search(
+             query, 10, 64, ann::VectorSource::Dense(data.data(), dim))) {
+      matched += want.count(h.node);
+    }
+  }
+  return static_cast<double>(matched) / 2000.0;
+}
+
+TEST(HnswExtendTest, RepeatedExtensionsKeepRecall) {
+  // Half of 10^4 vectors from scratch, then ten extensions by 5% each —
+  // the shape of an index that only ever grows through Compact.
+  const size_t n = 10'000, dim = 16, step = n / 20;
+  const std::vector<double> data = ClusteredVectors(n, dim, 0xA11CE);
+  const ann::VectorSource vectors = ann::VectorSource::Dense(data.data(), dim);
+  const std::vector<db::FactId> all = AscendingFacts(n);
+  const ann::HnswConfig config;
+
+  size_t built = n / 2;
+  auto payload = ann::BuildHnsw(
+      config, Span<const db::FactId>(all.data(), built), vectors, dim);
+  ASSERT_TRUE(payload.ok()) << payload.status();
+  std::string grown = payload.value();
+  for (int round = 0; round < 10; ++round) {
+    const OpenedBase opened(
+        grown, std::vector<db::FactId>(all.begin(), all.begin() + built), dim);
+    const ann::HnswBase base = opened.base();
+    built += step;
+    auto extended = ann::BuildHnsw(
+        config, Span<const db::FactId>(all.data(), built), vectors, dim, &base);
+    ASSERT_TRUE(extended.ok()) << extended.status();
+    grown = extended.value();
+  }
+  ASSERT_EQ(built, n);
+
+  auto scratch = ann::BuildHnsw(config, all, vectors, dim);
+  ASSERT_TRUE(scratch.ok()) << scratch.status();
+  const double extended_recall = RecallAtTen(grown, data, n, dim);
+  const double scratch_recall = RecallAtTen(scratch.value(), data, n, dim);
+  EXPECT_GE(extended_recall, 0.95);
+  EXPECT_GE(extended_recall, scratch_recall - 0.01)
+      << "from scratch: " << scratch_recall;
+}
+
+TEST(HnswExtendTest, RejectsBasesThatDoNotFit) {
+  const size_t n = 64, dim = 4;
+  const std::vector<double> data = ClusteredVectors(2 * n, dim, 0xF17);
+  const ann::VectorSource vectors = ann::VectorSource::Dense(data.data(), dim);
+  const std::vector<db::FactId> base_facts = AscendingFacts(n, 10);
+  const std::vector<db::FactId> all = AscendingFacts(2 * n, 10);
+  auto payload = ann::BuildHnsw(ann::HnswConfig(), base_facts, vectors, dim);
+  ASSERT_TRUE(payload.ok()) << payload.status();
+  AlignedPayload aligned(payload.value());
+  auto view = ann::HnswView::Open(aligned.data(), aligned.size(), n, dim);
+  ASSERT_TRUE(view.ok()) << view.status();
+  auto extend = [&](const std::vector<db::FactId>& node_facts,
+                    const std::vector<db::FactId>& facts,
+                    const ann::HnswConfig& config, size_t vector_dim) {
+    const ann::HnswBase base{view.value(), node_facts};
+    return ann::BuildHnsw(config, facts, vectors, vector_dim, &base).status();
+  };
+  const ann::HnswConfig config;
+  ASSERT_TRUE(extend(base_facts, all, config, dim).ok());
+
+  // Unsorted: two node facts swapped.
+  std::vector<db::FactId> swapped = base_facts;
+  std::swap(swapped[3], swapped[4]);
+  EXPECT_EQ(extend(swapped, all, config, dim).code(),
+            StatusCode::kInvalidArgument);
+  // Missing: a node's fact is not among the facts to index.
+  std::vector<db::FactId> without = all;
+  without.erase(without.begin() + 7);
+  EXPECT_EQ(extend(base_facts, without, config, dim).code(),
+            StatusCode::kInvalidArgument);
+  // A level mismatch: the same nodes claimed for other facts, whose level
+  // draws differ from the levels the base was built with.
+  const std::vector<db::FactId> shifted = AscendingFacts(n, 1'000);
+  EXPECT_EQ(extend(shifted, AscendingFacts(2 * n, 1'000), config, dim).code(),
+            StatusCode::kInvalidArgument);
+  // A dimension mismatch with the vectors.
+  EXPECT_EQ(extend(base_facts, all, config, dim / 2).code(),
+            StatusCode::kInvalidArgument);
+  // Another config: the level draws and list caps would not be the base's.
+  ann::HnswConfig other_m;
+  other_m.m = 8;
+  EXPECT_EQ(extend(base_facts, all, other_m, dim).code(),
+            StatusCode::kInvalidArgument);
+  // A node count the facts do not match.
+  const std::vector<db::FactId> short_list(base_facts.begin(),
+                                           base_facts.end() - 1);
+  EXPECT_EQ(extend(short_list, all, config, dim).code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---- Payload validation ------------------------------------------------

@@ -8,10 +8,13 @@
 // writer's durability window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -101,19 +104,33 @@ TEST(UrlDecodeTest, DecodesPercentAndPlus) {
 }
 
 TEST(ParseFactListTest, AcceptsCommonShapes) {
-  using serve::ParseFactList;
+  auto parse = [](const std::string& text, size_t max_facts) {
+    auto facts = serve::ParseFactList(text, max_facts);
+    EXPECT_TRUE(facts.ok()) << text << ": " << facts.status();
+    return facts.ok() ? facts.value() : std::vector<db::FactId>();
+  };
   const std::vector<db::FactId> expected = {1, 2, 3};
-  EXPECT_EQ(ParseFactList("1,2,3", 100), expected);
-  EXPECT_EQ(ParseFactList("[1, 2, 3]", 100), expected);
-  EXPECT_EQ(ParseFactList("{\"facts\": [1, 2, 3]}", 100), expected);
-  EXPECT_EQ(ParseFactList("1 2 3", 100), expected);
-  EXPECT_EQ(ParseFactList("", 100).size(), 0u);
-  EXPECT_EQ(ParseFactList("no digits here", 100).size(), 0u);
+  EXPECT_EQ(parse("1,2,3", 100), expected);
+  EXPECT_EQ(parse("[1, 2, 3]", 100), expected);
+  EXPECT_EQ(parse("{\"facts\": [1, 2, 3]}", 100), expected);
+  EXPECT_EQ(parse("1 2 3", 100), expected);
+  EXPECT_EQ(parse("", 100).size(), 0u);
+  EXPECT_EQ(parse("no digits here", 100).size(), 0u);
   // Negative ids parse (they just won't be found).
-  EXPECT_EQ(ParseFactList("-1", 100), std::vector<db::FactId>{-1});
+  EXPECT_EQ(parse("-1", 100), std::vector<db::FactId>{-1});
   // The cap bounds work: at most max_facts + 1 are extracted (the +1 lets
   // the caller detect the overflow).
-  EXPECT_EQ(ParseFactList("1,2,3,4,5,6,7,8", 3).size(), 4u);
+  EXPECT_EQ(parse("1,2,3,4,5,6,7,8", 3).size(), 4u);
+  // The ends of db::FactId's range parse; one past either end is reported,
+  // not truncated into another fact's id.
+  EXPECT_EQ(parse("2147483647,-2147483648", 100),
+            (std::vector<db::FactId>{2147483647, -2147483647 - 1}));
+  for (const char* text : {"4294967296", "1,2147483648", "-2147483649",
+                           "123456789012345678901234567890"}) {
+    EXPECT_EQ(serve::ParseFactList(text, 100).status().code(),
+              StatusCode::kInvalidArgument)
+        << text;
+  }
 }
 
 /// Fuzz of the two parsers that read socket bytes: seeded random inputs
@@ -135,11 +152,54 @@ std::string RandomRequestBytes(Rng& rng, size_t max_len) {
   return out;
 }
 
+/// The ids a lenient reading of `in` names — a token is a digit run, or
+/// '-' and a digit run — as decimal text without leading zeros, up to
+/// `max_facts + 1` of them. ParseFactList's ids must print back to these.
+std::vector<std::string> ReferenceIds(const std::string& in,
+                                      size_t max_facts) {
+  auto digit = [&in](size_t i) {
+    return i < in.size() && std::isdigit(static_cast<unsigned char>(in[i]));
+  };
+  std::vector<std::string> ids;
+  for (size_t i = 0; i < in.size() && ids.size() <= max_facts;) {
+    const bool negative = in[i] == '-' && digit(i + 1);
+    if (!negative && !digit(i)) {
+      ++i;
+      continue;
+    }
+    if (negative) ++i;
+    size_t end = i;
+    while (digit(end)) ++end;
+    std::string digits = in.substr(i, end - i);
+    digits.erase(0, std::min(digits.find_first_not_of('0'), digits.size() - 1));
+    ids.push_back(negative && digits != "0" ? "-" + digits : digits);
+    i = end;
+  }
+  return ids;
+}
+
+bool FitsFactId(const std::string& id) {
+  const size_t digits = id.size() - (id[0] == '-' ? 1 : 0);
+  if (digits > 10) return false;
+  const long long v = std::stoll(id);
+  return v >= std::numeric_limits<db::FactId>::min() &&
+         v <= std::numeric_limits<db::FactId>::max();
+}
+
 void ExpectParsersBounded(const std::string& in) {
   SCOPED_TRACE("input of " + std::to_string(in.size()) + " bytes");
   EXPECT_LE(serve::UrlDecode(in).size(), in.size());
   for (size_t max_facts : {0u, 1u, 3u, 64u}) {
-    EXPECT_LE(serve::ParseFactList(in, max_facts).size(), max_facts + 1);
+    const std::vector<std::string> want = ReferenceIds(in, max_facts);
+    const bool all_fit = std::all_of(want.begin(), want.end(), FitsFactId);
+    auto got = serve::ParseFactList(in, max_facts);
+    ASSERT_EQ(got.ok(), all_fit) << got.status();
+    if (!got.ok()) continue;
+    EXPECT_LE(got.value().size(), max_facts + 1);
+    ASSERT_EQ(got.value().size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(std::to_string(got.value()[i]), want[i]);
+    }
   }
 }
 
@@ -157,10 +217,9 @@ TEST_P(ParserFuzzTest, OutputStaysBoundedOnHostileBytes) {
     ExpectParsersBounded(in + thirty_digits);
     ExpectParsersBounded(in + "-" + thirty_digits);
   }
-  // A 30-digit number is one id, whatever value it saturates to.
-  EXPECT_EQ(serve::ParseFactList(thirty_digits, 8).size(), 1u);
-  const std::string two = thirty_digits + "," + thirty_digits;
-  EXPECT_EQ(serve::ParseFactList(two, 8).size(), 2u);
+  // A 30-digit number is reported, not saturated into some fact's id.
+  EXPECT_EQ(serve::ParseFactList(thirty_digits, 8).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_P(ParserFuzzTest, WellFormedInputsRoundTrip) {
@@ -188,7 +247,9 @@ TEST_P(ParserFuzzTest, WellFormedInputsRoundTrip) {
       if (i > 0) list += kSeparators[rng.NextIndex(5)];
       list += std::to_string(ids[i]);
     }
-    EXPECT_EQ(serve::ParseFactList(list, ids.size()), ids) << list;
+    auto parsed = serve::ParseFactList(list, ids.size());
+    ASSERT_TRUE(parsed.ok()) << list << ": " << parsed.status();
+    EXPECT_EQ(parsed.value(), ids) << list;
   }
 }
 
@@ -328,6 +389,34 @@ TEST(EmbeddingServiceTest, EndpointsServeBitIdenticalVectors) {
   EXPECT_GT(ServeTotal("stedb_serve_embeds_total"), embeds);
   EXPECT_EQ(ServeTotal("stedb_serve_embed_batches_total"), batches + 1);
   EXPECT_EQ(ServeTotal("stedb_serve_topk_queries_total"), topks + 1);
+  service.value()->Stop();
+}
+
+TEST(EmbeddingServiceTest, OutOfRangeFactIdsAreRejectedOnEveryEndpoint) {
+  ServedStore s = MakeServedStore("serve_fact_range");
+  serve::ServeOptions options;
+  options.http_threads = 1;
+  options.poll_interval_ms = 0;
+  auto service = serve::EmbeddingService::Open(s.dir, options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  ASSERT_TRUE(service.value()->Start("127.0.0.1", 0).ok());
+  serve::HttpClient client = ConnectOrDie(service.value()->port());
+
+  // 2^32 would alias fact 0 and -2^31-1 fact 2^31-1 under a narrowing
+  // cast; the 30-digit id saturates strtoll. Each is a bad request.
+  for (const std::string id : {"4294967296", "-2147483649",
+                               "123456789012345678901234567890"}) {
+    for (const std::string endpoint :
+         {"/embed?fact=", "/embed_batch?facts=", "/topk?fact=",
+          "/similar?fact="}) {
+      auto resp = client.Get(endpoint + id);
+      ASSERT_TRUE(resp.ok()) << resp.status();
+      EXPECT_EQ(resp.value().status, 400)
+          << endpoint << id << " -> " << resp.value().body;
+    }
+  }
+  // The last id in range is a well-formed id that is not served.
+  EXPECT_EQ(client.Get("/embed?fact=2147483647").value().status, 404);
   service.value()->Stop();
 }
 

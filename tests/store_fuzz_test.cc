@@ -173,7 +173,10 @@ TEST_P(StoreFuzzTest, AnnSectionSurvivesTruncationAndFlips) {
   // like every other section, so corruption must surface as a clean
   // container reject — and on the rare CRC-passing mutation (padding
   // bytes), whatever section survives must still open structurally via
-  // HnswView (the validation the serving path runs).
+  // HnswView (the validation the serving path runs). Compact reads the
+  // same damaged file section by section to extend its index; whatever
+  // the damage, it must fall back to a rebuild, which with nothing
+  // journaled writes the pristine bytes again.
   const size_t dim = 6, n = 40;
   auto model = std::make_unique<VectorSetModel>(dim, -1);
   Rng fill(99);
@@ -219,6 +222,13 @@ TEST_P(StoreFuzzTest, AnnSectionSurvivesTruncationAndFlips) {
       bad[at] = static_cast<char>(static_cast<unsigned char>(bad[at]) ^
                                   (1u << rng.NextIndex(8)));
     }
+    const std::string path = EmbeddingStore::SnapshotPath(dir);
+    ASSERT_TRUE(AtomicWriteFile(path, bad).ok());
+    ASSERT_TRUE(created.value().Compact().ok());
+    std::string rewritten;
+    ASSERT_TRUE(ReadFileToString(path, &rewritten).ok());
+    EXPECT_EQ(rewritten, good) << "trial " << trial;
+
     std::vector<uint64_t> buf(bad.size() / 8 + 1);
     std::memcpy(buf.data(), bad.data(), bad.size());
     const char* base = reinterpret_cast<const char*>(buf.data());

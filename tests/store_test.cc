@@ -4,16 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <thread>
 #include <vector>
 
+#include "src/ann/hnsw.h"
+#include "src/common/rng.h"
 #include "src/fwd/codec.h"
 #include "src/fwd/forward.h"
 #include "src/n2v/codec.h"
 #include "src/n2v/node2vec.h"
+#include "src/obs/metrics.h"
 #include "src/store/embedding_store.h"
 #include "src/store/model_codec.h"
 #include "src/store/format.h"
@@ -945,6 +949,296 @@ TEST(GroupCommitTest, SyncIfDueIsANoOpWithoutGroupCommit) {
 }
 
 // ---- Atomic writes -----------------------------------------------------
+
+// ---- The ANN index across compactions ------------------------------------
+
+constexpr size_t kIndexDim = 8;
+
+/// A deterministic vector for `fact`: counter-based, so every run and
+/// every build sees the same bytes.
+la::Vector IndexedVector(db::FactId fact, uint64_t salt = 0) {
+  Rng rng = Rng(0x1DE5 + salt).Fork(static_cast<uint64_t>(fact));
+  la::Vector v(kIndexDim);
+  for (double& x : v) x = rng.NextDouble(-1.0, 1.0);
+  return v;
+}
+
+/// `n` facts 3, 6, 9, ... with IndexedVector vectors.
+std::unique_ptr<VectorSetModel> IndexedModel(size_t n) {
+  auto model = std::make_unique<VectorSetModel>(kIndexDim, -1);
+  for (size_t i = 1; i <= n; ++i) {
+    const auto fact = static_cast<db::FactId>(3 * i);
+    model->set_phi(fact, IndexedVector(fact));
+  }
+  return model;
+}
+
+StoreOptions IndexedOptions() {
+  StoreOptions options;
+  options.build_ann_index = true;
+  return options;
+}
+
+/// A snapshot file's index payload with the facts and vectors of its PHI
+/// records, in record order.
+struct SnapshotIndex {
+  std::string ann;  ///< empty when the file has no 'ANN ' section
+  std::vector<db::FactId> facts;
+  std::vector<double> rows;
+};
+
+SnapshotIndex ReadIndex(const std::string& dir) {
+  std::string bytes;
+  EXPECT_TRUE(ReadFileToString(EmbeddingStore::SnapshotPath(dir), &bytes).ok());
+  auto parsed = ParseSnapshotContainer(bytes.data(), bytes.size());
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  SnapshotIndex index;
+  if (!parsed.ok()) return index;
+  if (const SnapshotSection* ann = parsed.value().Find(kAnnSectionTag)) {
+    index.ann.assign(ann->data, ann->size);
+  }
+  VectorSetModel phi(kIndexDim, -1);
+  EXPECT_TRUE(DecodePhiPayload(*parsed.value().Find(kPhiSectionTag),
+                               kIndexDim, &phi)
+                  .ok());
+  phi.ForEachPhi([&index](db::FactId f, const la::Vector& v) {
+    index.facts.push_back(f);
+    index.rows.insert(index.rows.end(), v.begin(), v.end());
+  });
+  return index;
+}
+
+/// The index BuildHnsw gives over `now`'s records: extending `before`'s
+/// index, or from scratch when `before` is null.
+std::string BuildIndex(const SnapshotIndex& now, const SnapshotIndex* before,
+                       const ann::HnswConfig& config) {
+  std::vector<uint64_t> words;
+  ann::HnswBase base;
+  if (before != nullptr) {
+    words.resize((before->ann.size() + 7) / 8);
+    std::memcpy(words.data(), before->ann.data(), before->ann.size());
+    auto view = ann::HnswView::Open(reinterpret_cast<const char*>(words.data()),
+                                    before->ann.size(), before->facts.size(),
+                                    kIndexDim);
+    EXPECT_TRUE(view.ok()) << view.status();
+    if (!view.ok()) return "";
+    base = ann::HnswBase{view.value(), before->facts};
+  }
+  auto payload = ann::BuildHnsw(
+      config, now.facts, ann::VectorSource::Dense(now.rows.data(), kIndexDim),
+      kIndexDim, before != nullptr ? &base : nullptr);
+  EXPECT_TRUE(payload.ok()) << payload.status();
+  return payload.ok() ? payload.value() : "";
+}
+
+/// Creates an indexed store of `n` facts in a fresh `name` directory.
+EmbeddingStore CreateIndexedStore(const std::string& name, size_t n,
+                                  StoreOptions options = IndexedOptions()) {
+  auto created = EmbeddingStore::Create(FreshDir(name), n2v::kNode2VecMethodTag,
+                                        IndexedModel(n), options);
+  EXPECT_TRUE(created.ok()) << created.status();
+  return std::move(created).value();
+}
+
+/// Appends facts past every fact IndexedModel(n) holds.
+void AppendNewFacts(EmbeddingStore& st, size_t count, db::FactId first) {
+  for (size_t i = 0; i < count; ++i) {
+    const auto fact = first + static_cast<db::FactId>(3 * i + 1);
+    ASSERT_TRUE(st.Append(fact, IndexedVector(fact)).ok());
+  }
+}
+
+TEST(AnnCompactTest, CompactExtendsTheReplacedIndex) {
+  EmbeddingStore st = CreateIndexedStore("ann_compact_extend", 600);
+  const SnapshotIndex created = ReadIndex(st.dir());
+  ASSERT_FALSE(created.ann.empty());
+  EXPECT_EQ(created.ann, BuildIndex(created, nullptr, ann::HnswConfig()));
+
+  // Journaled facts both between and past the indexed ones.
+  AppendNewFacts(st, 40, 0);
+  AppendNewFacts(st, 20, 5'000);
+  ASSERT_TRUE(st.Compact().ok());
+  const SnapshotIndex compacted = ReadIndex(st.dir());
+  ASSERT_EQ(compacted.facts.size(), 660u);
+  EXPECT_EQ(compacted.ann, BuildIndex(compacted, &created, ann::HnswConfig()));
+  // Which is not what a rebuild gives: the test tells the two apart.
+  EXPECT_NE(compacted.ann, BuildIndex(compacted, nullptr, ann::HnswConfig()));
+
+  // A second Compact extends the first one's index, and one with nothing
+  // journaled rewrites the same index.
+  AppendNewFacts(st, 10, 9'000);
+  ASSERT_TRUE(st.Compact().ok());
+  const SnapshotIndex again = ReadIndex(st.dir());
+  EXPECT_EQ(again.ann, BuildIndex(again, &compacted, ann::HnswConfig()));
+  ASSERT_TRUE(st.Compact().ok());
+  EXPECT_EQ(ReadIndex(st.dir()).ann, again.ann);
+}
+
+TEST(AnnCompactTest, OverwrittenIndexedFactRebuildsFromScratch) {
+  EmbeddingStore st = CreateIndexedStore("ann_compact_overwrite", 600);
+  const SnapshotIndex created = ReadIndex(st.dir());
+  AppendNewFacts(st, 10, 0);
+  // Fact 300 is indexed; an Append gives it other bytes.
+  ASSERT_TRUE(st.Append(300, IndexedVector(300, /*salt=*/1)).ok());
+  ASSERT_TRUE(st.Compact().ok());
+  const SnapshotIndex compacted = ReadIndex(st.dir());
+  EXPECT_EQ(compacted.ann, BuildIndex(compacted, nullptr, ann::HnswConfig()));
+  EXPECT_NE(compacted.ann, BuildIndex(compacted, &created, ann::HnswConfig()));
+}
+
+TEST(AnnCompactTest, ChangedConfigRebuildsUnderTheNewConfig) {
+  // Created under the default config, or with no index at all: either
+  // way, a store opened with another config builds its index afresh.
+  for (const bool created_with_index : {true, false}) {
+    SCOPED_TRACE(created_with_index ? "default index" : "no index");
+    StoreOptions created_options;
+    created_options.build_ann_index = created_with_index;
+    std::string dir;
+    {
+      EmbeddingStore st =
+          CreateIndexedStore("ann_compact_config", 400, created_options);
+      dir = st.dir();
+      ASSERT_TRUE(st.Close().ok());
+    }
+    ASSERT_EQ(ReadIndex(dir).ann.empty(), !created_with_index);
+    StoreOptions options = IndexedOptions();
+    options.ann.m = 8;
+    options.ann.ef_construction = 64;
+    auto opened = EmbeddingStore::Open(dir, options);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    AppendNewFacts(opened.value(), 10, 0);
+    ASSERT_TRUE(opened.value().Compact().ok());
+    const SnapshotIndex compacted = ReadIndex(dir);
+    EXPECT_EQ(compacted.ann, BuildIndex(compacted, nullptr, options.ann));
+    std::vector<uint64_t> words((compacted.ann.size() + 7) / 8);
+    std::memcpy(words.data(), compacted.ann.data(), compacted.ann.size());
+    auto view = ann::HnswView::Open(
+        reinterpret_cast<const char*>(words.data()), compacted.ann.size(),
+        compacted.facts.size(), kIndexDim);
+    ASSERT_TRUE(view.ok()) << view.status();
+    EXPECT_EQ(view.value().m(), 8u);
+    EXPECT_EQ(view.value().ef_construction(), 64u);
+  }
+}
+
+TEST(AnnCompactTest, CorruptIndexSectionOnDiskStillCompacts) {
+  EmbeddingStore st = CreateIndexedStore("ann_compact_corrupt", 400);
+  // Flip one byte inside the on-disk 'ANN ' payload; the open store
+  // still holds every vector.
+  const std::string path = EmbeddingStore::SnapshotPath(st.dir());
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
+  {
+    auto parsed = ParseSnapshotContainer(bytes.data(), bytes.size());
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const SnapshotSection* ann = parsed.value().Find(kAnnSectionTag);
+    ASSERT_NE(ann, nullptr);
+    bytes[static_cast<size_t>(ann->data - bytes.data()) + ann->size / 2] ^= 0x10;
+  }
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  ASSERT_FALSE(ParseSnapshotContainer(bytes.data(), bytes.size()).ok());
+
+  AppendNewFacts(st, 10, 0);
+  ASSERT_TRUE(st.Compact().ok());
+  const SnapshotIndex compacted = ReadIndex(st.dir());
+  EXPECT_EQ(compacted.ann, BuildIndex(compacted, nullptr, ann::HnswConfig()));
+}
+
+TEST(AnnCompactTest, CrashWindowReplayStillExtends) {
+  std::string dir;
+  std::string stale_journal;
+  SnapshotIndex compacted;
+  {
+    EmbeddingStore st = CreateIndexedStore("ann_compact_crash", 400);
+    dir = st.dir();
+    AppendNewFacts(st, 20, 0);
+    ASSERT_TRUE(st.Sync().ok());
+    ASSERT_TRUE(
+        ReadFileToString(EmbeddingStore::WalPath(dir), &stale_journal).ok());
+    ASSERT_TRUE(st.Compact().ok());
+    compacted = ReadIndex(dir);
+    ASSERT_TRUE(st.Close().ok());
+  }
+  // A crash between the snapshot's rename and the journal reset leaves
+  // the old journal: recovery replays records the snapshot already holds,
+  // with the same bytes, so the next Compact may still extend.
+  std::ofstream(EmbeddingStore::WalPath(dir),
+                std::ios::binary | std::ios::trunc)
+      << stale_journal;
+  auto opened = EmbeddingStore::Open(dir, IndexedOptions());
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  EXPECT_EQ(opened.value().wal_records(), 20u);
+  AppendNewFacts(opened.value(), 10, 2'000);
+  ASSERT_TRUE(opened.value().Compact().ok());
+  const SnapshotIndex next = ReadIndex(dir);
+  EXPECT_EQ(next.ann, BuildIndex(next, &compacted, ann::HnswConfig()));
+  EXPECT_NE(next.ann, BuildIndex(next, nullptr, ann::HnswConfig()));
+}
+
+// Create's snapshot bytes, recorded before Compact learned to extend the
+// index: the in-place index over the encoded PHI records must build the
+// graph the copied rows did, for either codec's section layout.
+TEST(AnnCompactTest, CreatedSnapshotBytesArePinned) {
+  {
+    EmbeddingStore st = CreateIndexedStore("ann_create_pin_n2v", 500);
+    std::string bytes;
+    ASSERT_TRUE(
+        ReadFileToString(EmbeddingStore::SnapshotPath(st.dir()), &bytes).ok());
+    EXPECT_EQ(bytes.size(), 99'192u);
+    EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 1620483785u);
+  }
+  {
+    const std::string dir = FreshDir("ann_create_pin_fwd");
+    ASSERT_TRUE(fwd::CreateForwardStore(dir, TrainSmall(), IndexedOptions())
+                    .ok());
+    std::string bytes;
+    ASSERT_TRUE(
+        ReadFileToString(EmbeddingStore::SnapshotPath(dir), &bytes).ok());
+    EXPECT_EQ(bytes.size(), 5'920u);
+    EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 2320893819u);
+  }
+}
+
+TEST(AnnCompactTest, EachCompactStageIsObservedOnceAndTheyAddUp) {
+  EmbeddingStore st = CreateIndexedStore("ann_compact_stages", 400);
+  AppendNewFacts(st, 10, 0);
+  const obs::Registry& reg = obs::Registry::Global();
+  auto hist = [&reg](const char* name, obs::Labels labels = {}) {
+    const obs::Histogram* h = reg.FindHistogram(name, labels);
+    EXPECT_NE(h, nullptr) << name;
+    return h;
+  };
+  const obs::Histogram* total = hist("stedb_store_compact_seconds");
+  const obs::Histogram* index = hist("stedb_store_ann_build_seconds");
+  std::vector<const obs::Histogram*> stages;
+  for (const char* stage : {"sync", "encode", "write", "reset_wal"}) {
+    stages.push_back(
+        hist("stedb_store_compact_stage_seconds", {{"stage", stage}}));
+  }
+  ASSERT_NE(total, nullptr);
+  ASSERT_NE(index, nullptr);
+  std::vector<uint64_t> counts;
+  double parts_before = index->Sum();
+  for (const obs::Histogram* h : stages) {
+    ASSERT_NE(h, nullptr);
+    counts.push_back(h->Count());
+    parts_before += h->Sum();
+  }
+  const uint64_t total_count = total->Count();
+  const uint64_t index_count = index->Count();
+  const double total_before = total->Sum();
+
+  ASSERT_TRUE(st.Compact().ok());
+  EXPECT_EQ(total->Count(), total_count + 1);
+  EXPECT_EQ(index->Count(), index_count + 1);
+  double parts_after = index->Sum();
+  for (size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_EQ(stages[i]->Count(), counts[i] + 1) << "stage " << i;
+    parts_after += stages[i]->Sum();
+  }
+  EXPECT_LE(parts_after - parts_before, total->Sum() - total_before);
+  EXPECT_GT(parts_after - parts_before, 0.0);
+}
 
 TEST(AtomicWriteTest, ReplacesAtomicallyAndCleansUp) {
   const std::string dir = FreshDir("atomic_write");
